@@ -17,9 +17,12 @@ The report asserts the serving layer's two contracts —
 ``batched_speedup >= --min-batched-speedup`` (default 2x) and
 ``cache_speedup >= --min-cache-speedup`` (default 5x) — plus response
 determinism: every batched/cached response must be byte-identical to the
-sequential one.  Results land in ``BENCH_serve.json`` (p50/p95 latency,
-req/s, service counters) so the serving trajectory is tracked across PRs
-like ``BENCH_pipeline.json`` tracks the batch pipeline.
+sequential one — and one structural check: the warm pass, answered at
+admission, adds exactly 0 batched requests and 0 solves to the cold
+pass's counters (exit 4 otherwise).  Results land in
+``BENCH_serve.json`` (p50/p95 latency, req/s, service counters) so the
+serving trajectory is tracked across PRs like ``BENCH_pipeline.json``
+tracks the batch pipeline.
 
 Run:  PYTHONPATH=src python benchmarks/bench_serve.py
 """
@@ -99,9 +102,9 @@ def run_bench(args) -> dict:
     # Cache passes share one service: cold populates, warm is 100% repeats.
     cache_service = _service(args, result_cache=True)
     try:
-        cache_cold, _ = _measure(args, requests, "cache_cold",
-                                 concurrency=args.concurrency,
-                                 service=cache_service)
+        cache_cold, cold_stats = _measure(args, requests, "cache_cold",
+                                          concurrency=args.concurrency,
+                                          service=cache_service)
         cache_warm, warm_stats = _measure(args, requests, "cache_warm",
                                           concurrency=args.concurrency,
                                           service=cache_service)
@@ -120,6 +123,14 @@ def run_bench(args) -> dict:
     cache_speedup = round(
         cache_warm.req_per_sec / cache_cold.req_per_sec, 3) \
         if cache_cold.req_per_sec else 0.0
+    # Structural, not timed: every warm request is a repeat, answered at
+    # admission, so the warm pass must put nothing through the batcher
+    # and solve nothing.
+    warm_delta = {
+        "batched_requests": (warm_stats.batched_requests
+                             - cold_stats.batched_requests),
+        "solved": warm_stats.solved - cold_stats.solved,
+    }
 
     report = {
         "benchmark": "serve",
@@ -142,6 +153,8 @@ def run_bench(args) -> dict:
         "batching_win": batched_speedup >= args.min_batched_speedup,
         "cache_win": cache_speedup >= args.min_cache_speedup,
         "responses_match": responses_match,
+        "cache_warm_delta": warm_delta,
+        "warm_bypasses_batcher": not any(warm_delta.values()),
         "batched_stats": batch_stats.to_dict(),
         "cache_warm_stats": warm_stats.to_dict(),
         "unix_time": int(time.time()),
@@ -152,7 +165,8 @@ def run_bench(args) -> dict:
           f"(floor {args.min_batched_speedup}x), "
           f"cache speedup {cache_speedup}x "
           f"(floor {args.min_cache_speedup}x), "
-          f"responses match: {responses_match} -> {output}")
+          f"responses match: {responses_match}, warm-pass deltas "
+          f"{warm_delta} (must be 0) -> {output}")
     return report
 
 
@@ -185,6 +199,9 @@ def main() -> None:
     if args.min_cache_speedup > 0 and not report["cache_win"]:
         print("  FATAL: result-cache speedup below floor")
         sys.exit(3)
+    if not report["warm_bypasses_batcher"]:
+        print("  FATAL: warm-cache repeats reached the batcher")
+        sys.exit(4)
 
 
 if __name__ == "__main__":

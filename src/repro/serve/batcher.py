@@ -9,7 +9,9 @@ dedups it by content hash and runs one :meth:`ExecutionEngine.map` over
 the unique work units.  Throughput therefore *rises* with concurrency
 (duplicate in-flight requests collapse, unique ones fan out across the
 worker pool) instead of degrading, while the window bounds the latency a
-lone request pays for the chance to share a batch.
+lone request pays for the chance to share a batch.  Only result-cache
+misses (and evaluations) pay it: the service answers cached repeats at
+admission, before they would reach this queue.
 
 The flush callable must not raise; the batcher still guards it so a bug
 in one batch cannot kill the consumer thread and deadlock every later

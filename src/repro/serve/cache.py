@@ -39,9 +39,10 @@ class ResultCache:
     between snapshots are meaningful; they surface in
     :class:`repro.serve.service.ServiceStats`.  With a backing ``store``,
     a memory miss consults it before reporting a miss (``store_hits``
-    counts the refills — ``hits + store_hits + misses == lookups``) and
-    every ``put`` writes through, so entries evicted from memory refill
-    from the store instead of being lost.
+    counts the refills — ``hits + store_hits + misses == lookups``, where
+    only :meth:`get` is a lookup) and every ``put`` writes through, so
+    entries evicted from memory refill from the store instead of being
+    lost.
     """
 
     def __init__(self, max_entries: int = 1024, store=None,
@@ -87,9 +88,29 @@ class ResultCache:
             self.misses += 1
             return None
 
+    def peek(self, key: str) -> Optional[object]:
+        """The memory tier's entry for ``key``, uncounted and never
+        reading the store: a re-check for a request whose one counted
+        :meth:`get` already missed."""
+        with self._lock:
+            cached = self._entries.get(key)
+            if cached is not None:
+                self._entries.move_to_end(key)
+            return cached
+
     def put(self, key: str, value: object) -> None:
+        self.remember(key, value)
+        self.write_through(key, value)
+
+    def remember(self, key: str, value: object) -> None:
+        """Insert into the memory tier only (see :meth:`write_through`)."""
         with self._lock:
             self._insert_locked(key, value)
+
+    def write_through(self, key: str, value: object) -> None:
+        """Spill an entry to the backing store, if any: the slow half of
+        :meth:`put`, which callers may defer off a response's critical
+        path once :meth:`remember` has made the entry visible."""
         if self.store is not None:
             self.store.put(self.namespace, key, value)
 

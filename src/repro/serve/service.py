@@ -10,17 +10,21 @@ request/response layer the ROADMAP's serving goal needs:
   consumes derives from the request's SHA-256 key, so identical requests
   produce byte-identical responses no matter when, where, or in which
   batch they run.
-- :meth:`AssertService.submit` enqueues onto a *bounded* queue and
-  returns a ``Future``; a full queue raises :class:`ServiceOverloaded`
-  immediately (backpressure — the caller sheds load or retries) instead
-  of letting latency grow without bound.
+- :meth:`AssertService.submit` first looks the request up in the
+  :class:`repro.serve.cache.ResultCache` on the caller's thread: a
+  repeat resolves its ``Future`` before ``submit`` returns, never
+  touching the queue, the batch window or the deadline timer.  Every
+  other request enqueues onto a *bounded* queue; a full queue raises
+  :class:`ServiceOverloaded` immediately (backpressure — the caller
+  sheds load or retries) instead of letting latency grow without bound.
 - A :class:`repro.serve.batcher.MicroBatcher` consumer coalesces
-  in-flight requests; each flush dedups them by content key, serves
-  repeats from the :class:`repro.serve.cache.ResultCache`, and fans the
-  remaining unique work units out over one
+  in-flight requests; each flush dedups them by content key, re-checks
+  the cache's memory tier (a twin queued earlier may have been solved
+  since), and fans the remaining unique work units out over one
   :meth:`repro.engine.ExecutionEngine.map` call — workers share the
   process-wide compile cache, and each unit scores all of a design's
   proposals with one ``bounded_check_batch``-backed validation pass.
+  Evaluations are never result-cached and always take the queue.
 - :class:`ServiceStats` surfaces every counter an operator needs:
   queue/backpressure, batch shapes, cache hits, dedup wins, errors.
 
@@ -184,7 +188,21 @@ class SolveRequest:
     request_id: str = ""
 
     def cache_key(self) -> str:
-        return content_key(self.design_source, self.options.canonical())
+        """The content key, hashed once per request object.
+
+        The memo lives outside the dataclass fields, so equality, repr
+        and hashing ignore it, and :meth:`__getstate__` keeps it out of
+        pickles."""
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            key = content_key(self.design_source, self.options.canonical())
+            object.__setattr__(self, "_cache_key", key)
+        return key
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_cache_key", None)
+        return state
 
 
 class ScoredProposal:
@@ -769,7 +787,8 @@ class AssertService:
             "Accepted-request latency, submit to resolution (any outcome).")
         self._queue_wait_seconds = self.metrics.histogram(
             "repro_service_queue_wait_seconds",
-            "Time an accepted request waited before batch pickup.")
+            "Time a queued request waited before batch pickup "
+            "(admission cache hits never queue).")
         self._register_metrics()
 
     def _register_metrics(self) -> None:
@@ -911,10 +930,12 @@ class AssertService:
             return sorted(self._models)
 
     def submit(self, request: Union[SolveRequest, str]) -> "Future":
-        """Enqueue one solve; the future resolves to a SolveResponse.
+        """Accept one solve; the future resolves to a SolveResponse.
 
-        Raises :class:`ServiceOverloaded` when the bounded queue is full
-        and :class:`ServiceClosed` after :meth:`close`.
+        A result-cache hit is resolved before this returns; anything
+        else is enqueued.  Raises :class:`ServiceOverloaded` when the
+        bounded queue is full and :class:`ServiceClosed` after
+        :meth:`close`.
         """
         request = self._coerce(request)
         return self._submit_pending(request, request.options.deadline_ms)
@@ -935,11 +956,14 @@ class AssertService:
     def _submit_pending(self, request: Union[SolveRequest, EvalRequest],
                         deadline: Optional[float]) -> "Future":
         """The shared accept path: solve and eval requests ride the same
-        queue, timer, and cancellation registry."""
+        queue, timer, and cancellation registry — except a solve whose
+        answer is already cached, which resolves right here."""
         future: "Future" = Future()
         expiry = (time.monotonic() + deadline / 1000.0
                   if deadline is not None else None)
-        pending = _Pending(request, future, expiry)
+        # The expiry is attached only once the request is queued: an
+        # admission hit never meets the deadline timer.
+        pending = _Pending(request, future, None)
         # Open the trace before any resolution path can see the request:
         # the inflight span roots the trace for in-process callers and
         # joins the HTTP server span's trace (the ambient context) when
@@ -954,6 +978,25 @@ class AssertService:
             pending.span = obs_trace.begin(
                 "request.inflight", parent=parent, trace_id=trace_id,
                 root=parent is None, attrs=attrs)
+        # The request's one counted cache lookup, on the caller's thread:
+        # a repeat must not wait out a batch window (or an eval holding
+        # the batcher) for a microsecond answer.  Evals are never
+        # result-cached, so they always queue.
+        cached = (self._cache.get(pending.key)
+                  if self._cache is not None
+                  and isinstance(request, SolveRequest) else None)
+        if cached is not None:
+            with self._lock:
+                if self._closed:
+                    self._end_spans(pending, "closed")
+                    raise ServiceClosed("service is closed")
+                self._submitted += 1
+            if pending.span is not None:
+                pending.span.attrs["cache_hit"] = True
+            self._finish(pending, cached)
+            return future
+        pending.expiry = expiry
+        if pending.span is not None:
             pending.queue_span = obs_trace.begin("queue.wait",
                                                  parent=pending.span)
         # Atomic closed-check + enqueue (put_nowait never blocks, so
@@ -1133,10 +1176,12 @@ class AssertService:
                        - len(groups) - len(eval_groups))
         misses: List[str] = []
         for key, waiters in groups.items():
-            cached = self._cache.get(key) if self._cache is not None else None
+            # Every waiter missed at admission, where its lookup was
+            # counted; a twin in an earlier batch may have been computed
+            # since.  Memory only: the store was read at admission.
+            cached = (self._cache.peek(key) if self._cache is not None
+                      else None)
             if cached is not None:
-                # Resolve hits now: a microsecond lookup must not wait
-                # behind the batch's slowest cache-miss solve.
                 for pending in waiters:
                     self._finish(pending, cached)
             else:
@@ -1163,6 +1208,12 @@ class AssertService:
                     self._fail(pending, exc)
             return
 
+        # Memory tier before anything can observe the batch (counters or
+        # a resolved future): a client that resubmits the moment its
+        # answer arrives must hit at admission.
+        if self._cache is not None:
+            for key, response in zip(misses, results):
+                self._cache.remember(key, response)
         compile_errors = sum(1 for response in results if not response.ok)
         with self._lock:
             self._solved += len(tasks)
@@ -1185,7 +1236,7 @@ class AssertService:
         # hits it.
         if self._cache is not None:
             for key, response in zip(misses, results):
-                self._cache.put(key, response)
+                self._cache.write_through(key, response)
         # Retain coverage reports for /covz — only from fresh solves
         # (cache hits would double-count their design's counters).
         for response in results:

@@ -97,6 +97,23 @@ class TestSolveRoundTrip:
         # And the client's parse round-trips to the same bytes.
         assert response_from_json(body.decode()).to_json().encode() == body
 
+    def test_admission_hit_body_byte_identical_to_in_process(self):
+        with http_server() as (server, client):
+            request = fast_request(MINI_SOURCE, bmc_depth=7)
+            in_process = server.service.solve(request, timeout=60)
+            before = server.service.stats()
+            bodies = [client._request(
+                "POST", "/v1/solve",
+                request_to_json(request).encode("utf-8"))
+                for _ in range(2)]
+            after = server.service.stats()
+        for status, _, body in bodies:
+            assert status == 200
+            assert body == in_process.to_json().encode("utf-8")
+        # Both answered at admission: nothing new reached the batcher.
+        assert after.batched_requests == before.batched_requests
+        assert after.cache_hits - before.cache_hits == 2
+
     def test_compile_error_maps_to_422(self, shared):
         server, client = shared
         status, _, body = client._request(

@@ -423,6 +423,26 @@ class TestServiceTracing:
         assert parsed.value("repro_service_request_seconds_count") == 1.0
         assert parsed.value("repro_service_queue_wait_seconds_count") == 1.0
 
+    def test_admission_hit_is_one_ok_span_and_never_queues(
+            self, clean_tracing):
+        hit = fast_request(request_id="warm-hit")
+        trace_id = obs_trace.trace_id_for(hit.cache_key(), "warm-hit")
+        with AssertService(ServeConfig(batch_window_ms=5.0)) as service:
+            assert service.solve(fast_request(request_id="cold"),
+                                 timeout=60).ok
+            assert service.solve(hit, timeout=60).ok
+            record = trace_by_id(obs_trace.buffer().snapshot(), trace_id)
+            parsed = obs_metrics.parse_prometheus_text(
+                service.metrics.render())
+        assert record is not None
+        # No dangling queue.wait: the hit never reached the queue.
+        assert span_names(record) == ["request.inflight"]
+        attrs = record["spans"][0]["attrs"]
+        assert attrs["status"] == "ok"
+        assert attrs["cache_hit"] is True
+        assert parsed.value("repro_service_request_seconds_count") == 2.0
+        assert parsed.value("repro_service_queue_wait_seconds_count") == 1.0
+
 
 class TestHttpObservability:
     def test_metricsz_parses_and_counts_requests(self, clean_tracing):

@@ -23,6 +23,7 @@ import pytest
 from repro.corpus.generator import CorpusGenerator
 from repro.serve import (
     AssertService,
+    EvalRequest,
     ResultCache,
     ServeConfig,
     ServiceClosed,
@@ -131,6 +132,31 @@ class TestDeterminismAndCache:
         a = fast_request(MINI_SOURCE, bmc_depth=6)
         b = fast_request(MINI_SOURCE, bmc_depth=7)
         assert a.cache_key() != b.cache_key()
+
+    def test_cache_key_is_hashed_once_and_invisible(self, monkeypatch):
+        import pickle
+
+        from repro.serve import service as service_mod
+
+        calls = []
+        real_key = service_mod.content_key
+
+        def counting_key(*parts):
+            calls.append(parts)
+            return real_key(*parts)
+
+        monkeypatch.setattr(service_mod, "content_key", counting_key)
+        request = fast_request(MINI_SOURCE)
+        twin = fast_request(MINI_SOURCE)
+        before = (pickle.dumps(request), repr(request), hash(request))
+        assert request.cache_key() == request.cache_key()
+        assert len(calls) == 1
+        assert (pickle.dumps(request), repr(request),
+                hash(request)) == before
+        assert request == twin
+        restored = pickle.loads(pickle.dumps(request))
+        assert restored == request
+        assert restored.cache_key() == request.cache_key()
 
     def test_result_cache_lru_eviction(self):
         cache = ResultCache(max_entries=2)
@@ -698,6 +724,195 @@ class TestCancellation:
         assert stats.solved == 1
         assert stats.cache_hits == 1
         assert stats.cancelled == 1
+
+
+class TestAdmissionCacheHits:
+    """A result-cache hit resolves inside ``submit``: it never enters
+    the queue, the batch window, the deadline timer or the
+    ``request_id`` registry.  Every check here is timing-free."""
+
+    @staticmethod
+    def gate_engine(service):
+        """Hold the batcher thread inside ``engine.map`` until released
+        (the gated-map pattern of the cancellation race test)."""
+        real_map = service._engine.map
+        started = threading.Event()
+        release = threading.Event()
+
+        def gated_map(fn, tasks, **kwargs):
+            started.set()
+            assert release.wait(10), "flush never released"
+            return real_map(fn, tasks, **kwargs)
+
+        service._engine.map = gated_map
+        return started, release
+
+    def test_repeat_is_done_when_submit_returns(self):
+        # A window no test could wait out: only a size flush (64 twins)
+        # can compute the first answer, and only admission can serve the
+        # repeat before the next flush.
+        config = ServeConfig(batch_window_ms=30_000, max_batch=64)
+        with AssertService(config) as service:
+            futures = [service.submit(fast_request(MINI_SOURCE))
+                       for _ in range(64)]
+            first = futures[0].result(timeout=120)
+            repeat = service.submit(fast_request(MINI_SOURCE))
+            assert repeat.done()
+            stats = service.stats()
+        assert repeat.result() is first
+        assert stats.batches == 1
+        assert stats.batched_requests == 64
+        assert stats.submitted == stats.completed == 65
+        assert stats.cache_hits == 1
+
+    def test_repeat_is_answered_while_the_batcher_is_busy(self):
+        service = AssertService(ServeConfig(batch_window_ms=1.0)).start()
+        try:
+            cached = service.solve(fast_request(MINI_SOURCE), timeout=60)
+            started, release = self.gate_engine(service)
+            cold = service.submit(fast_request(MINI_SOURCE, bmc_depth=7))
+            assert started.wait(10)  # the batcher is held mid-compute
+            repeat = service.submit(fast_request(MINI_SOURCE))
+            assert repeat.done()
+            assert repeat.result().to_json() == cached.to_json()
+            release.set()
+            assert cold.result(timeout=60).ok
+        finally:
+            service.close()
+
+    def test_repeat_is_served_when_the_queue_is_full(self):
+        service = AssertService(ServeConfig(batch_window_ms=1.0,
+                                            max_queue=1)).start()
+        try:
+            cached = service.solve(fast_request(MINI_SOURCE), timeout=60)
+            started, release = self.gate_engine(service)
+            held = service.submit(fast_request(MINI_SOURCE, bmc_depth=7))
+            assert started.wait(10)
+            queued = service.submit(fast_request(MINI_SOURCE, bmc_depth=8))
+            with pytest.raises(ServiceOverloaded):
+                service.submit(fast_request(MINI_SOURCE, bmc_depth=9))
+            repeat = service.submit(fast_request(MINI_SOURCE))
+            assert repeat.result(timeout=0) is cached
+            release.set()
+            assert held.result(timeout=60).ok
+            assert queued.result(timeout=60).ok
+            assert service.stats().rejected == 1
+        finally:
+            service.close()
+
+    def test_repeat_after_close_raises(self):
+        service = AssertService(ServeConfig()).start()
+        service.solve(fast_request(MINI_SOURCE), timeout=60)
+        service.close()
+        with pytest.raises(ServiceClosed):
+            service.submit(fast_request(MINI_SOURCE))
+        assert service.stats().submitted == 1
+
+    def test_cancel_on_a_hit_returns_zero(self):
+        with AssertService(ServeConfig()) as service:
+            service.solve(fast_request(MINI_SOURCE), timeout=60)
+            future = service.submit(SolveRequest(
+                MINI_SOURCE, SolveOptions(**FAST), request_id="hit"))
+            assert future.done()
+            assert service.cancel("hit") == 0
+            stats = service.stats()
+        assert future.result().ok
+        assert stats.cancelled == 0
+
+    def test_deadlined_repeat_never_meets_the_timer(self):
+        with AssertService(ServeConfig()) as service:
+            service.solve(fast_request(MINI_SOURCE), timeout=60)
+            response = service.solve(
+                fast_request(MINI_SOURCE, deadline_ms=50.0), timeout=0)
+            timer = service._timer
+            assert timer._thread is None  # never started
+            assert timer._resolved == 0
+            stats = service.stats()
+        assert response.ok
+        assert stats.timeouts == 0
+
+    def test_evals_always_take_the_queue(self, human_cases):
+        service = AssertService(ServeConfig())  # not started: nothing drains
+        try:
+            futures = [service.submit_eval(
+                EvalRequest("GPT-4", human_cases[:1])) for _ in range(2)]
+            stats = service.stats()
+            assert stats.queue_depth == 2
+            assert stats.cache_hits + stats.cache_misses == 0
+            service.start()
+            for future in futures:
+                assert future.result(timeout=60).status == "unknown_model"
+            again = service.submit_eval(EvalRequest("GPT-4", human_cases[:1]))
+            assert not again.done()
+            assert again.result(timeout=60).status == "unknown_model"
+            stats = service.stats()
+        finally:
+            service.close()
+        assert stats.batched_requests == 3
+        assert stats.cache_hits + stats.cache_misses == 0
+
+    def test_concurrent_submitters_count_each_request_once(self):
+        import sys
+
+        requests = [fast_request(MINI_SOURCE, bmc_depth=depth)
+                    for depth in (6, 7, 8)]
+        n_threads, per_thread = 8, 25
+        futures, errors = [], []
+
+        def client(offset):
+            try:
+                for i in range(per_thread):
+                    futures.append(service.submit(
+                        requests[(offset + i) % len(requests)]))
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with AssertService(ServeConfig(batch_window_ms=1.0)) as service:
+                threads = [threading.Thread(target=client, args=(k,))
+                           for k in range(n_threads)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                bodies = {f.result(timeout=60).to_json() for f in futures}
+                stats = service.stats()
+        finally:
+            sys.setswitchinterval(previous)
+        assert not errors
+        total = n_threads * per_thread
+        assert len(futures) == total
+        assert len(bodies) == len(requests)
+        assert stats.submitted == stats.completed == total
+        assert stats.cache_hits + stats.cache_store_hits \
+            + stats.cache_misses == total
+
+    def test_one_counted_lookup_per_request_over_a_disk_store(
+            self, tmp_path):
+        from repro.store import StoreConfig
+
+        config = ServeConfig(store=StoreConfig(path=tmp_path,
+                                               memory_entries=0))
+        requests = [fast_request(MINI_SOURCE, bmc_depth=depth)
+                    for depth in (6, 7, 8)]
+        with AssertService(config) as service:
+            for future in [service.submit(r) for r in requests]:
+                assert future.result(timeout=60).ok
+            for request in requests:
+                assert service.submit(request).done()
+            stats = service.stats()
+            store = service._store.counters()
+        n = len(requests)
+        assert stats.cache_misses == n
+        assert stats.cache_hits == n
+        assert stats.cache_store_hits == 0
+        assert stats.solved == n
+        # One store read per miss, at admission; the flush re-check and
+        # the repeats stay in memory.
+        assert store["hits"] + store["misses"] == n
 
 
 class TestSaturationGauges:
