@@ -22,6 +22,7 @@ counters (compile-cache hits, …) surface in the parent; see
 from __future__ import annotations
 
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -103,6 +104,9 @@ class ExecutionEngine:
         self._initargs = initargs
         self._pool = None
         self._closed = False
+        # Guards the pool handle and the bookkeeping below: a service
+        # with two batcher lanes calls map() from two threads at once.
+        self._lock = threading.Lock()
         self._stage_stats: "Dict[str, Dict[str, float]]" = {}
         self._metric_totals: Dict[str, Dict[str, int]] = {}
         self._map_count = 0
@@ -114,15 +118,17 @@ class ExecutionEngine:
             raise RuntimeError("engine is closed")
         if self.backend == "serial":
             return None
-        if self._pool is None:
-            if self.backend == "thread":
-                self._pool = ThreadPoolExecutor(max_workers=self.n_workers)
-            else:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.n_workers,
-                    initializer=self._initializer,
-                    initargs=self._initargs)
-        return self._pool
+        with self._lock:
+            if self._pool is None:
+                if self.backend == "thread":
+                    self._pool = ThreadPoolExecutor(
+                        max_workers=self.n_workers)
+                else:
+                    self._pool = ProcessPoolExecutor(
+                        max_workers=self.n_workers,
+                        initializer=self._initializer,
+                        initargs=self._initargs)
+            return self._pool
 
     def warm(self) -> None:
         """Start the worker pool now instead of lazily at the first map.
@@ -178,8 +184,9 @@ class ExecutionEngine:
         compile-cache stats) only reflect units that actually ran.
         """
         items = list(items)
-        self._map_count += 1
-        stage = stage or f"map-{self._map_count}"
+        with self._lock:
+            self._map_count += 1
+            stage = stage or f"map-{self._map_count}"
         started = time.perf_counter()
         # No-op outside a trace (batch datagen): span() yields None when
         # no request trace is ambient, at the cost of one contextvar read.
@@ -206,13 +213,14 @@ class ExecutionEngine:
                 if map_span is not None:
                     map_span.attrs["memo_hits"] = memo_hits
         elapsed = time.perf_counter() - started
-        bucket = self._stage_stats.setdefault(
-            stage, {"units": 0, "seconds": 0.0,
-                    "memo_hits": 0, "memo_misses": 0})
-        bucket["units"] += len(items)
-        bucket["seconds"] += elapsed
-        bucket["memo_hits"] += memo_hits
-        bucket["memo_misses"] += memo_misses
+        with self._lock:
+            bucket = self._stage_stats.setdefault(
+                stage, {"units": 0, "seconds": 0.0,
+                        "memo_hits": 0, "memo_misses": 0})
+            bucket["units"] += len(items)
+            bucket["seconds"] += elapsed
+            bucket["memo_hits"] += memo_hits
+            bucket["memo_misses"] += memo_misses
         return results
 
     def _execute(self, fn: Callable, items: List) -> List:
@@ -228,7 +236,8 @@ class ExecutionEngine:
                                  chunksize=chunksize))
         results = []
         for result, counter_delta, spans in rows:
-            metrics.accumulate(self._metric_totals, counter_delta)
+            with self._lock:
+                metrics.accumulate(self._metric_totals, counter_delta)
             obs_trace.ingest(spans)
             results.append(result)
         return results
@@ -237,19 +246,22 @@ class ExecutionEngine:
 
     def metric_totals(self) -> Dict[str, Dict[str, int]]:
         """Summed worker-side counter deltas across all maps so far."""
-        return {name: dict(counters)
-                for name, counters in self._metric_totals.items()}
+        with self._lock:
+            return {name: dict(counters)
+                    for name, counters in self._metric_totals.items()}
 
     def stats(self) -> Dict[str, object]:
+        with self._lock:
+            stages = {name: {"units": int(s["units"]),
+                             "seconds": round(s["seconds"], 6),
+                             "memo_hits": int(s.get("memo_hits", 0)),
+                             "memo_misses": int(s.get("memo_misses", 0))}
+                      for name, s in self._stage_stats.items()}
         return {
             "backend": self.backend,
             "n_workers": self.n_workers,
             "requested_backend": self.requested_backend,
             "requested_workers": self.requested_workers,
             "cpu_count": available_cpus(),
-            "stages": {name: {"units": int(s["units"]),
-                              "seconds": round(s["seconds"], 6),
-                              "memo_hits": int(s.get("memo_hits", 0)),
-                              "memo_misses": int(s.get("memo_misses", 0))}
-                       for name, s in self._stage_stats.items()},
+            "stages": stages,
         }

@@ -7,10 +7,16 @@ the worker with the unit's result, and accumulates the deltas in the
 parent process — the only way to surface worker-side counters when units
 run in a process pool.
 
-Deltas are exact under the serial and process backends (units run
-sequentially within a process).  Under the thread backend interleaved
-units can observe each other's increments, so aggregated totals are an
-upper bound there.
+Deltas are exact under the process backend (units run sequentially
+within each worker).  The in-process backends (serial and thread)
+snapshot process-global counters, so a unit's window also sees whatever
+another thread increments meanwhile: interleaved thread-backend units,
+or a concurrent serving lane (a service runs its solve and eval lanes
+on two threads) whose increments are credited to whichever unit's
+window they fall in.  Aggregated engine totals are an upper bound
+there.  The providers' own cumulative counters (e.g. ``/statsz``
+``solve_profile``, read straight from :func:`profile_counters`) are
+process-global and stay exact.
 """
 
 from __future__ import annotations

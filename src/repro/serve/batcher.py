@@ -1,7 +1,8 @@
 """Micro-batching: coalesce queued requests into engine work units.
 
-A :class:`MicroBatcher` owns one consumer thread over the service's
-bounded request queue.  It blocks for the first item, then keeps
+A :class:`MicroBatcher` owns one consumer thread over one of the
+service's request queues (the service runs one batcher per lane: solves
+and evaluations).  It blocks for the first item, then keeps
 collecting until either ``max_batch`` items are in hand (**size** flush)
 or ``window_s`` seconds have passed since the batch opened (**timeout**
 flush), and hands the batch to the service's flush callable — which
@@ -10,8 +11,9 @@ the unique work units.  Throughput therefore *rises* with concurrency
 (duplicate in-flight requests collapse, unique ones fan out across the
 worker pool) instead of degrading, while the window bounds the latency a
 lone request pays for the chance to share a batch.  Only result-cache
-misses (and evaluations) pay it: the service answers cached repeats at
-admission, before they would reach this queue.
+misses pay it on the solve lane, and every evaluation on the eval lane:
+the service answers cached repeats at admission, before they would
+reach a queue.
 
 The flush callable must not raise; the batcher still guards it so a bug
 in one batch cannot kill the consumer thread and deadlock every later
@@ -46,6 +48,20 @@ class BatcherStats:
     flush_errors: int = 0
     flush_reasons: dict = field(default_factory=lambda: {
         FLUSH_SIZE: 0, FLUSH_TIMEOUT: 0, FLUSH_DRAIN: 0})
+
+    @classmethod
+    def combined(cls, parts: List["BatcherStats"]) -> "BatcherStats":
+        """Counter sums over several batchers (``max_batch`` is the
+        largest) — one service-wide view of its lanes."""
+        total = cls()
+        for part in parts:
+            total.batches += part.batches
+            total.items += part.items
+            total.max_batch = max(total.max_batch, part.max_batch)
+            total.flush_errors += part.flush_errors
+            for reason, count in part.flush_reasons.items():
+                total.flush_reasons[reason] += count
+        return total
 
     @property
     def mean_batch(self) -> float:

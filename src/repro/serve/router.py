@@ -653,11 +653,6 @@ class FleetRouter:
         finally:
             conn.close()
 
-    def route_solve(self, key: str, body: bytes
-                    ) -> Optional[Tuple[int, Dict[str, str], bytes]]:
-        """Back-compat alias: route one solve body (see :meth:`route_post`)."""
-        return self.route_post("/v1/solve", key, body)
-
     def route_post(self, path: str, key: str, body: bytes
                    ) -> Optional[Tuple[int, Dict[str, str], bytes]]:
         """Forward one POST body along ``key``'s ring order.

@@ -13,18 +13,22 @@ request/response layer the ROADMAP's serving goal needs:
 - :meth:`AssertService.submit` first looks the request up in the
   :class:`repro.serve.cache.ResultCache` on the caller's thread: a
   repeat resolves its ``Future`` before ``submit`` returns, never
-  touching the queue, the batch window or the deadline timer.  Every
-  other request enqueues onto a *bounded* queue; a full queue raises
-  :class:`ServiceOverloaded` immediately (backpressure — the caller
-  sheds load or retries) instead of letting latency grow without bound.
-- A :class:`repro.serve.batcher.MicroBatcher` consumer coalesces
-  in-flight requests; each flush dedups them by content key, re-checks
-  the cache's memory tier (a twin queued earlier may have been solved
-  since), and fans the remaining unique work units out over one
-  :meth:`repro.engine.ExecutionEngine.map` call — workers share the
-  process-wide compile cache, and each unit scores all of a design's
-  proposals with one ``bounded_check_batch``-backed validation pass.
-  Evaluations are never result-cached and always take the queue.
+  touching a queue, the batch window or the deadline timer.  Every
+  other request enqueues onto its kind's lane — solves and evaluations
+  each have their own queue — under one *bounded* admission count: once
+  ``max_queue`` requests wait across both lanes, :class:`ServiceOverloaded`
+  is raised immediately (backpressure — the caller sheds load or
+  retries) instead of letting latency grow without bound.
+- Each lane has its own :class:`repro.serve.batcher.MicroBatcher`
+  consumer thread, so a seconds-long evaluation never holds up the
+  solves queued behind it.  A flush dedups its batch by content key;
+  the solve lane re-checks the cache's memory tier (a twin queued
+  earlier may have been solved since) and fans the remaining unique
+  work units out over one :meth:`repro.engine.ExecutionEngine.map`
+  call — workers share the process-wide compile cache, and each unit
+  scores all of a design's proposals with one
+  ``bounded_check_batch``-backed validation pass.  The eval lane runs
+  each unique evaluation in turn; evaluations are never result-cached.
 - :class:`ServiceStats` surfaces every counter an operator needs:
   queue/backpressure, batch shapes, cache hits, dedup wins, errors.
 
@@ -35,6 +39,7 @@ compiler's diagnostics.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import json
@@ -54,7 +59,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.eval.cases import cases_to_json
 from repro.eval.config import EvalConfig
-from repro.serve.batcher import MicroBatcher
+from repro.serve.batcher import BatcherStats, MicroBatcher
 from repro.sim.compiled import SIM_MODES
 from repro.serve.cache import ResultCache, content_key
 from repro.store import StoreConfig
@@ -69,7 +74,7 @@ HintTuple = Tuple[str, str, Optional[str], int, str]
 
 
 class ServiceOverloaded(RuntimeError):
-    """The bounded request queue is full; retry later or shed load."""
+    """The bounded request queues are full; retry later or shed load."""
 
 
 class ServiceClosed(RuntimeError):
@@ -578,7 +583,9 @@ class ServiceStats:
     saturation gauges: ``inflight`` counts requests accepted but not yet
     resolved (queued, batching, or computing), so operators and load
     tests can see pressure building *before* the bounded queue starts
-    returning 429s.
+    returning 429s.  Queue and batch fields sum the solve and eval
+    lanes (``max_batch`` is the larger lane's); ``queue_capacity`` is
+    the admission bound both lanes share.
     """
 
     submitted: int = 0
@@ -751,7 +758,11 @@ class AssertService:
     def __init__(self, config: Optional[ServeConfig] = None):
         self.config = config or ServeConfig()
         self.config.validate()
+        # One lane per request kind; the admission bound in
+        # _submit_pending counts both queues against max_queue.
         self._queue: "queue.Queue" = queue.Queue(maxsize=self.config.max_queue)
+        self._eval_queue: "queue.Queue" = queue.Queue(
+            maxsize=self.config.max_queue)
         self._store = (self.config.store.make_store()
                        if self.config.store is not None else None)
         self._cache = (ResultCache(self.config.cache_entries,
@@ -759,6 +770,7 @@ class AssertService:
                        if self.config.result_cache else None)
         self._engine: Optional[ExecutionEngine] = None
         self._batcher: Optional[MicroBatcher] = None
+        self._eval_batcher: Optional[MicroBatcher] = None
         self._timer = _DeadlineTimer(self._expire_pending)
         # Per-service (not process-global) so co-located fleet backends
         # each retain only what they themselves solved — the router's
@@ -787,8 +799,8 @@ class AssertService:
             "Accepted-request latency, submit to resolution (any outcome).")
         self._queue_wait_seconds = self.metrics.histogram(
             "repro_service_queue_wait_seconds",
-            "Time a queued request waited before batch pickup "
-            "(admission cache hits never queue).")
+            "Time a queued request waited before batch pickup, either "
+            "lane (admission cache hits never queue).")
         self._register_metrics()
 
     def _register_metrics(self) -> None:
@@ -808,10 +820,12 @@ class AssertService:
                 f"repro_service_{name}_total",
                 f"Cumulative {name} requests.", reader(f"_{name}"))
         self.metrics.gauge_callback(
-            "repro_service_queue_depth", "Requests waiting in the queue.",
-            lambda: self._queue.qsize())
+            "repro_service_queue_depth",
+            "Requests waiting in the solve and eval queues.",
+            self._queue_depth)
         self.metrics.gauge_callback(
-            "repro_service_queue_capacity", "Bounded queue capacity.",
+            "repro_service_queue_capacity",
+            "Admission bound over both lanes' queues.",
             lambda: self.config.max_queue)
         self.metrics.gauge_callback(
             "repro_service_inflight",
@@ -857,10 +871,17 @@ class AssertService:
             *self.config.compile_cache_settings())
         self._engine = self.config.make_engine()
         self._engine.warm()  # pool startup off the first request's latency
+        window_s = self.config.batch_window_ms / 1000.0
         self._batcher = MicroBatcher(
-            self._queue, self._flush, max_batch=self.config.max_batch,
-            window_s=self.config.batch_window_ms / 1000.0)
+            self._queue, functools.partial(self._flush, self._flush_solves),
+            max_batch=self.config.max_batch, window_s=window_s)
+        self._eval_batcher = MicroBatcher(
+            self._eval_queue,
+            functools.partial(self._flush, self._flush_evals),
+            max_batch=self.config.max_batch, window_s=window_s,
+            name="serve-eval-batcher")
         self._batcher.start()
+        self._eval_batcher.start()
         return self
 
     def close(self) -> None:
@@ -877,17 +898,19 @@ class AssertService:
             if self._closed:
                 return
             self._closed = True
-        if self._batcher is not None:
-            self._batcher.stop()
+        for batcher in (self._batcher, self._eval_batcher):
+            if batcher is not None:
+                batcher.stop()
         self._timer.close()
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if isinstance(item, _Pending):
-                self._fail(item, ServiceClosed(
-                    "service closed before the request was served"))
+        for lane in (self._queue, self._eval_queue):
+            while True:
+                try:
+                    item = lane.get_nowait()
+                except queue.Empty:
+                    break
+                if isinstance(item, _Pending):
+                    self._fail(item, ServiceClosed(
+                        "service closed before the request was served"))
         if self._engine is not None:
             self._engine.close()
         if self._previous_compile_cache is not None:
@@ -933,9 +956,9 @@ class AssertService:
         """Accept one solve; the future resolves to a SolveResponse.
 
         A result-cache hit is resolved before this returns; anything
-        else is enqueued.  Raises :class:`ServiceOverloaded` when the
-        bounded queue is full and :class:`ServiceClosed` after
-        :meth:`close`.
+        else is enqueued on the solve lane.  Raises
+        :class:`ServiceOverloaded` when the bounded queues are full and
+        :class:`ServiceClosed` after :meth:`close`.
         """
         request = self._coerce(request)
         return self._submit_pending(request, request.options.deadline_ms)
@@ -943,9 +966,10 @@ class AssertService:
     def submit_eval(self, request: EvalRequest) -> "Future":
         """Enqueue one evaluation; the future resolves to an EvalResponse.
 
-        Same lifecycle as :meth:`submit`: bounded queue (429-style
+        Same lifecycle as :meth:`submit` — bounded admission (429-style
         backpressure), deadline timer, cancellation by ``request_id``,
-        batch dedup by content key."""
+        batch dedup by content key — on the eval lane, whose own batcher
+        thread keeps a long evaluation from delaying queued solves."""
         if not isinstance(request, EvalRequest):
             raise ValueError(
                 f"submit_eval takes an EvalRequest, "
@@ -955,9 +979,10 @@ class AssertService:
 
     def _submit_pending(self, request: Union[SolveRequest, EvalRequest],
                         deadline: Optional[float]) -> "Future":
-        """The shared accept path: solve and eval requests ride the same
-        queue, timer, and cancellation registry — except a solve whose
-        answer is already cached, which resolves right here."""
+        """The shared accept path: solve and eval requests share the
+        admission bound, timer, and cancellation registry, each queueing
+        on its own lane — except a solve whose answer is already cached,
+        which resolves right here."""
         future: "Future" = Future()
         expiry = (time.monotonic() + deadline / 1000.0
                   if deadline is not None else None)
@@ -979,12 +1004,11 @@ class AssertService:
                 "request.inflight", parent=parent, trace_id=trace_id,
                 root=parent is None, attrs=attrs)
         # The request's one counted cache lookup, on the caller's thread:
-        # a repeat must not wait out a batch window (or an eval holding
-        # the batcher) for a microsecond answer.  Evals are never
-        # result-cached, so they always queue.
+        # a repeat must not wait out a batch window for a microsecond
+        # answer.  Evals are never result-cached, so they always queue.
+        is_eval = isinstance(request, EvalRequest)
         cached = (self._cache.get(pending.key)
-                  if self._cache is not None
-                  and isinstance(request, SolveRequest) else None)
+                  if self._cache is not None and not is_eval else None)
         if cached is not None:
             with self._lock:
                 if self._closed:
@@ -999,21 +1023,21 @@ class AssertService:
         if pending.span is not None:
             pending.queue_span = obs_trace.begin("queue.wait",
                                                  parent=pending.span)
-        # Atomic closed-check + enqueue (put_nowait never blocks, so
-        # holding the lock is safe): a submit can therefore never land
-        # behind close()'s stop sentinel and be silently stranded.
+        # Atomic closed-check + bound check + enqueue (put_nowait never
+        # blocks, so holding the lock is safe): a submit can therefore
+        # never land behind close()'s stop sentinel and be silently
+        # stranded.  Every put happens under this lock and consumers only
+        # shrink the queues, so the lane queue itself is never full here.
         with self._lock:
             if self._closed:
                 self._end_spans(pending, "closed")
                 raise ServiceClosed("service is closed")
-            try:
-                self._queue.put_nowait(pending)
-            except queue.Full:
+            if self._queue_depth() >= self.config.max_queue:
                 self._rejected += 1
                 self._end_spans(pending, "rejected")
                 raise ServiceOverloaded(
-                    f"request queue full ({self.config.max_queue} pending)"
-                ) from None
+                    f"request queue full ({self.config.max_queue} pending)")
+            (self._eval_queue if is_eval else self._queue).put_nowait(pending)
             self._submitted += 1
             if request.request_id:
                 self._by_id.setdefault(request.request_id, []).append(pending)
@@ -1137,26 +1161,29 @@ class AssertService:
         return SolveResponse("cancelled", pending.key,
                              error="cancelled by client")
 
-    # -- batch flush (batcher thread) ----------------------------------------
+    # -- batch flush (one batcher thread per lane) --------------------------
 
-    def _flush(self, batch: List[_Pending], reason: str) -> None:
-        """Serve one batch.  Must resolve every future, success or not:
-        a stranded future hangs its client forever, which is worse than
-        any error it could carry."""
+    def _flush(self, serve, batch: List[_Pending], reason: str) -> None:
+        """Serve one lane's batch with ``serve`` (:meth:`_flush_solves`
+        or :meth:`_flush_evals`).  Must resolve every future, success or
+        not: a stranded future hangs its client forever, which is worse
+        than any error it could carry."""
         try:
-            self._flush_inner(batch)
+            serve(self._pick_up(batch))
         except BaseException as exc:  # noqa: BLE001
             for pending in batch:
                 self._fail(pending, exc)
             raise  # let the batcher count the flush error too
 
-    def _flush_inner(self, batch: List[_Pending]) -> None:
-        # Requests the deadline timer or a cancellation already resolved
-        # drop out here, and a key all of whose waiters are gone is
-        # never computed at all — a queued cancel or expiry saves its
-        # compute entirely.
+    def _pick_up(self, batch: List[_Pending]
+                 ) -> "OrderedDict[str, List[_Pending]]":
+        """End the batch's queue waits and group it by content key.
+
+        Requests the deadline timer or a cancellation already resolved
+        drop out here, and a key all of whose waiters are gone is never
+        computed at all — a queued cancel or expiry saves its compute
+        entirely."""
         groups: "OrderedDict[str, List[_Pending]]" = OrderedDict()
-        eval_groups: "OrderedDict[str, List[_Pending]]" = OrderedDict()
         picked = time.perf_counter()
         for pending in batch:
             if pending.future.done():
@@ -1167,13 +1194,28 @@ class AssertService:
                     pending.queue_span.end()
                 pending.batch_span = obs_trace.begin("batch.wait",
                                                      parent=pending.span)
-            target = (eval_groups if isinstance(pending.request, EvalRequest)
-                      else groups)
-            target.setdefault(pending.key, []).append(pending)
+            groups.setdefault(pending.key, []).append(pending)
+        dedup_extra = sum(len(waiters) for waiters in groups.values()) \
+            - len(groups)
+        with self._lock:
+            self._deduped += dedup_extra
+        return groups
 
-        dedup_extra = (sum(len(waiters) for waiters in groups.values())
-                       + sum(len(waiters) for waiters in eval_groups.values())
-                       - len(groups) - len(eval_groups))
+    def _deliver(self, waiters: List[_Pending], response) -> None:
+        """Resolve every waiter of one computed key with ``response``."""
+        now = time.monotonic()
+        for pending in waiters:
+            # Belt and braces: the timer normally fires first, but a
+            # deadline that lapsed mid-compute must never see its
+            # response delivered late just because the timer thread has
+            # not been scheduled yet.
+            if pending.expiry is not None and now > pending.expiry:
+                self._finish(pending, self._timeout_response_for(pending))
+            else:
+                self._finish(pending, response)
+
+    def _flush_solves(self, groups: "OrderedDict[str, List[_Pending]]"
+                      ) -> None:
         misses: List[str] = []
         for key, waiters in groups.items():
             # Every waiter missed at admission, where its lookup was
@@ -1197,8 +1239,6 @@ class AssertService:
                                groups[key][0].span.context_tuple()
                                if groups[key][0].span is not None else None))
                  for key in misses]
-        with self._lock:
-            self._deduped += dedup_extra
         try:
             results = (self._engine.map(solve_task, tasks, stage="serve")
                        if tasks else [])
@@ -1218,17 +1258,8 @@ class AssertService:
         with self._lock:
             self._solved += len(tasks)
             self._compile_errors += compile_errors
-        now = time.monotonic()
         for key, response in zip(misses, results):
-            for pending in groups[key]:
-                # Belt and braces: the timer normally fires first, but a
-                # deadline that lapsed mid-compute must never see its
-                # response delivered late just because the timer thread
-                # has not been scheduled yet.
-                if pending.expiry is not None and now > pending.expiry:
-                    self._finish(pending, self._timeout_response_for(pending))
-                else:
-                    self._finish(pending, response)
+            self._deliver(groups[key], response)
         # Write-through last: a disk-backed cache put (pickle + rename +
         # index bookkeeping) must not sit on the response critical path.
         # The computed response is valid and cacheable even when its own
@@ -1245,29 +1276,25 @@ class AssertService:
                 if report:
                     self.cov_buffer.record(report)
 
-        # Evals after solves: solves are the latency-sensitive traffic.
+    def _flush_evals(self, groups: "OrderedDict[str, List[_Pending]]"
+                     ) -> None:
         # One compute per unique key serves every deduped waiter; repeats
         # across batches recompute only the aggregation — the per-case
         # outcomes come back from the store's eval/v1 memo.  Deliberately
         # NOT ResultCache'd: the response depends on which object is
         # registered under the model *name*, which a shared store cannot
         # see, whereas the per-case memo keys on the model's digest.
-        for key, waiters in eval_groups.items():
+        for key, waiters in groups.items():
             try:
                 response = self._run_eval(waiters[0].request, key)
             except BaseException as exc:  # noqa: BLE001
                 for pending in waiters:
                     self._fail(pending, exc)
                 continue
-            now = time.monotonic()
-            for pending in waiters:
-                if pending.expiry is not None and now > pending.expiry:
-                    self._finish(pending, self._timeout_response_for(pending))
-                else:
-                    self._finish(pending, response)
+            self._deliver(waiters, response)
 
     def _run_eval(self, request: EvalRequest, key: str) -> EvalResponse:
-        """Resolve one unique eval key (batcher thread)."""
+        """Resolve one unique eval key (eval batcher thread)."""
         with self._lock:
             entry = self._models.get(request.model)
         if entry is None:
@@ -1286,6 +1313,10 @@ class AssertService:
         return EvalResponse("ok", key, report=report)
 
     # -- reporting -----------------------------------------------------------
+
+    def _queue_depth(self) -> int:
+        """Requests waiting across both lanes (what max_queue bounds)."""
+        return self._queue.qsize() + self._eval_queue.qsize()
 
     def stats(self) -> ServiceStats:
         """A point-in-time snapshot of the service counters.
@@ -1319,7 +1350,8 @@ class AssertService:
         if self._store is not None:
             stats.store_entries = len(self._store)
         if self._batcher is not None:
-            snap = self._batcher.stats.snapshot()
+            snap = BatcherStats.combined(
+                [self._batcher.stats, self._eval_batcher.stats]).snapshot()
             stats.batches = snap["batches"]
             stats.batched_requests = snap["items"]
             stats.mean_batch = snap["mean_batch"]
@@ -1327,7 +1359,7 @@ class AssertService:
             stats.flush_size = snap["flush_reasons"]["size"]
             stats.flush_timeout = snap["flush_reasons"]["timeout"]
             stats.flush_drain = snap["flush_reasons"]["drain"]
-        stats.queue_depth = self._queue.qsize()
+        stats.queue_depth = self._queue_depth()
         stats.queue_capacity = self.config.max_queue
         if self._engine is not None:
             stats.backend = self._engine.backend

@@ -1,6 +1,10 @@
 """The stage-graph execution engine: RNG derivation, backends, graphs,
 compile caching, config validation, and the parallel==serial guarantee."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.datagen.pipeline import (
@@ -27,6 +31,16 @@ def _square(x):
 
 def _double(x):
     return 2 * x
+
+
+#: Units run per pool thread: a thread-local counter, so each unit's
+#: metrics window sees exactly its own increment.
+_UNITS_RUN = threading.local()
+
+
+def _counted(x):
+    _UNITS_RUN.n = getattr(_UNITS_RUN, "n", 0) + 1
+    return x
 
 
 class TestSeedDerivation:
@@ -101,6 +115,54 @@ class TestExecutionEngine:
         assert stats["stages"]["alpha"]["units"] == 3
         assert stats["stages"]["beta"]["units"] == 1
         assert stats["backend"] in BACKENDS
+
+    def test_concurrent_maps_keep_exact_bookkeeping(self, monkeypatch):
+        # Two threads mapping at once, as a service's solve and eval
+        # lanes do: no stage unit, map number or counter delta is lost.
+        from repro.engine import metrics
+
+        def yielding_accumulate(total, increment):
+            # metrics.accumulate's read-modify-write, releasing the GIL
+            # between read and write so that an unguarded caller loses
+            # updates reliably instead of once in a thousand maps.
+            for name, counters in increment.items():
+                bucket = total.setdefault(name, {})
+                for key, value in counters.items():
+                    seen = bucket.get(key, 0)
+                    time.sleep(0)
+                    bucket[key] = seen + value
+
+        monkeypatch.setattr(metrics, "accumulate", yielding_accumulate)
+        monkeypatch.setitem(metrics._PROVIDERS, "units_run",
+                            lambda: {"n": getattr(_UNITS_RUN, "n", 0)})
+        n_threads, maps, per_map = 2, 200, 3
+        barrier = threading.Barrier(n_threads)
+
+        def lane():
+            barrier.wait()
+            for _ in range(maps):
+                engine.map(_counted, range(per_map), stage="shared")
+                engine.map(_counted, range(per_map))  # named map-<n>
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ExecutionEngine(n_workers=2, backend="thread") as engine:
+                threads = [threading.Thread(target=lane)
+                           for _ in range(n_threads)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+                stats = engine.stats()["stages"]
+                totals = engine.metric_totals()
+        finally:
+            sys.setswitchinterval(previous)
+        assert stats["shared"]["units"] == n_threads * maps * per_map
+        numbered = [name for name in stats if name.startswith("map-")]
+        assert len(numbered) == n_threads * maps
+        assert all(stats[name]["units"] == per_map for name in numbered)
+        assert totals["units_run"]["n"] == 2 * n_threads * maps * per_map
 
     def test_closed_engine_refuses_work(self):
         engine = ExecutionEngine()

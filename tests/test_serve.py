@@ -20,7 +20,9 @@ import time
 
 import pytest
 
+from repro.baselines.engine import make_baseline
 from repro.corpus.generator import CorpusGenerator
+from repro.eval.config import EvalConfig
 from repro.serve import (
     AssertService,
     EvalRequest,
@@ -59,6 +61,32 @@ def fast_request(source: str, **overrides) -> SolveRequest:
     options = dict(FAST)
     options.update(overrides)
     return SolveRequest(source, SolveOptions(**options))
+
+
+#: Gate of :class:`GatedModel`: module-level, so the model itself stays
+#: picklable (``register_model`` digests its pickle).
+EVAL_STARTED = threading.Event()
+EVAL_RELEASE = threading.Event()
+
+
+class GatedModel:
+    """A baseline whose sampling blocks until ``EVAL_RELEASE`` is set,
+    holding its evaluation mid-compute for as long as a test needs."""
+
+    def __init__(self, name: str = "GPT-4"):
+        self.inner = make_baseline(name, seed=0)
+
+    def generate_case(self, case, n=20):
+        EVAL_STARTED.set()
+        assert EVAL_RELEASE.wait(60), "eval never released"
+        return self.inner.generate_case(case, n=n)
+
+
+def cheap_eval(cases, request_id: str = "", **config) -> EvalRequest:
+    """A one-case GPT-4 evaluation at a tiny sample budget."""
+    config = dict(dict(n_samples=2, k_values=(1,)), **config)
+    return EvalRequest("GPT-4", cases[:1], EvalConfig(**config),
+                       request_id=request_id)
 
 
 @pytest.fixture(scope="module")
@@ -913,6 +941,88 @@ class TestAdmissionCacheHits:
         # One store read per miss, at admission; the flush re-check and
         # the repeats stay in memory.
         assert store["hits"] + store["misses"] == n
+
+
+class TestEvalLane:
+    """Evaluations keep the solve lifecycle (dedup, cancellation,
+    deadlines) on a lane of their own, so a computing eval never holds
+    up a solve."""
+
+    @staticmethod
+    def service_with_model():
+        service = AssertService(ServeConfig())  # not started: evals queue
+        service.register_model("GPT-4", make_baseline("GPT-4", seed=0))
+        return service
+
+    def test_identical_queued_evals_compute_once(self, human_cases):
+        service = self.service_with_model()
+        try:
+            futures = [service.submit_eval(cheap_eval(human_cases))
+                       for _ in range(2)]
+            service.start()
+            first, second = (future.result(timeout=60)
+                             for future in futures)
+            stats = service.stats()
+        finally:
+            service.close()
+        assert first.ok and second.ok
+        assert first.report is second.report  # one compute, two waiters
+        assert stats.evals == 1
+        assert stats.deduped == 1
+
+    def test_cancelled_queued_eval_never_runs(self, human_cases):
+        service = self.service_with_model()
+        try:
+            future = service.submit_eval(
+                cheap_eval(human_cases, request_id="ev-1"))
+            assert service.cancel("ev-1") == 1
+            response = future.result(timeout=5)
+            service.start()
+        finally:
+            service.close()  # drains the lane: its batch has flushed
+        stats = service.stats()
+        assert type(response).__name__ == "EvalResponse"
+        assert response.status == "cancelled"
+        assert stats.batches == 1
+        assert stats.evals == 0
+        assert stats.cancelled == 1
+
+    def test_queued_eval_past_its_deadline_times_out(self, human_cases):
+        service = self.service_with_model()
+        try:
+            future = service.submit_eval(
+                cheap_eval(human_cases, deadline_ms=20.0))
+            response = future.result(timeout=5)  # the timer, not a flush
+            service.start()
+        finally:
+            service.close()
+        stats = service.stats()
+        assert type(response).__name__ == "EvalResponse"
+        assert response.status == "timeout"
+        assert "deadline" in response.error
+        assert stats.timeouts == 1
+        assert stats.evals == 0
+
+    def test_cold_solve_resolves_while_an_eval_computes(self, human_cases):
+        EVAL_STARTED.clear()
+        EVAL_RELEASE.clear()
+        service = AssertService(ServeConfig()).start()
+        try:
+            service.register_model("gated", GatedModel())
+            evaluation = service.submit_eval(
+                EvalRequest("gated", human_cases[:1],
+                            EvalConfig(n_samples=2, k_values=(1,))))
+            assert EVAL_STARTED.wait(30), "eval never started"
+            solve = service.submit(fast_request(MINI_SOURCE))
+            # With one batcher for both kinds this solve would wait for
+            # a release that only comes after it resolves.
+            response = solve.result(timeout=30)
+            assert not evaluation.done()
+        finally:
+            EVAL_RELEASE.set()
+            service.close()
+        assert response.ok
+        assert evaluation.result(timeout=5).ok
 
 
 class TestSaturationGauges:
