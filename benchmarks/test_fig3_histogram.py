@@ -5,7 +5,7 @@ the deterministic ends (c = 0 and c = 20) than the SFT model — the paper's
 precision-for-diversity trade-off.
 """
 
-from repro.eval.histogram import extremity_mass, histogram_series, render_histogram
+from repro.eval.reporting import extremity_mass, render_histogram
 
 
 def test_fig3_histogram(benchmark, pipeline, results):
@@ -20,8 +20,8 @@ def test_fig3_histogram(benchmark, pipeline, results):
     print("\n" + figure)
 
     n = pipeline.config.n_samples
-    sft_series = histogram_series(sft, n)
-    solver_series = histogram_series(solver, n)
-    assert sum(sft_series) == sum(solver_series) == len(sft.outcomes)
+    sft_series = [sft.histogram().get(c, 0) for c in range(n + 1)]
+    solver_series = [solver.histogram().get(c, 0) for c in range(n + 1)]
+    assert sum(sft_series) == sum(solver_series) == len(sft.case_outcomes())
 
     assert extremity_mass(solver, n) >= extremity_mass(sft, n) - 0.05

@@ -8,7 +8,7 @@ trained models.
 
 import math
 
-from repro.eval.buckets import bucket_pass_at
+from repro.eval.passk import aggregate_pass_at_k
 from repro.eval.reporting import render_fig4
 
 
@@ -23,7 +23,7 @@ def test_fig4_buckets(benchmark, pipeline, results):
     figure = benchmark(render)
     print("\n" + figure)
 
-    solver_types = bucket_pass_at(results["AssertSolver"], 1, by="bug_type")
+    solver_types = results["AssertSolver"].bucket_pass_at(1, by="bug_type")
     defined = {k: v for k, v in solver_types.items() if not math.isnan(v)}
     assert defined, "no bug-type buckets populated"
 
@@ -31,14 +31,18 @@ def test_fig4_buckets(benchmark, pipeline, results):
 def test_fig4_length_trend(benchmark, pipeline, results):
     """Short machine cases are the easy end of the length axis."""
     solver = results["AssertSolver"]
+    cases = pipeline.build_benchmark().cases
+    outcomes = solver.case_outcomes()
+    assert [case.case_id for case in cases] == \
+        [case_id for case_id, _, _ in outcomes]
 
     def shortest_bucket():
-        machine = [o for o in solver.outcomes if o.case.origin == "machine"]
-        short = [o for o in machine
-                 if o.case.entry.length_bin() == (0, 50)]
+        short = [(n, c) for case, (_, n, c) in zip(cases, outcomes)
+                 if case.origin == "machine"
+                 and case.entry.length_bin() == (0, 50)]
         if not short:
             return float("nan")
-        return solver.pass_at(1, short)
+        return aggregate_pass_at_k(short, 1)
 
     value = benchmark(shortest_bucket)
     print(f"\nAssertSolver pass@1 on (0, 50] machine cases: {value:.2%} "

@@ -23,7 +23,11 @@ def test_table3_ablation(benchmark, pipeline, results):
 
     benchmark(measure)
 
-    machine = [o for o in sft.outcomes if o.case.origin == "machine"]
+    cases = pipeline.build_benchmark().cases
+    assert [case.case_id for case in cases] == \
+        [case_id for case_id, _, _ in sft.case_outcomes()]
+    machine = [(n, c) for case, (_, n, c) in zip(cases, sft.case_outcomes())
+               if case.origin == "machine"]
     assert base.pass_at(1) < 0.2
     assert sft.pass_at_origin(1, "machine") > base.pass_at(1) + 0.3
     assert solver.pass_at_origin(1, "machine") >= \

@@ -1,13 +1,14 @@
 #!/usr/bin/env python
 """Quickstart: pass@k evaluation as a memoized, serveable workload.
 
-Evaluation used to be a batch-only affair: ``evaluate_model(model,
-cases, n=..., seed=...)`` scored everything from scratch, every time.
-This walkthrough shows the redesigned surface —
+pass@k evaluation is one call, ``run_eval(model, cases, config)``, and
+one result type, :class:`repro.eval.EvalReport`.  This walkthrough shows
+the surface —
 
 - :class:`repro.eval.EvalConfig` holds the validated knobs;
 - :func:`repro.eval.run_eval` returns an :class:`EvalReport` whose
-  ``to_json()`` is canonical (byte-stable across runs and transports);
+  ``to_json()`` is canonical (byte-stable across runs and transports)
+  and which every paper table and figure renderer reads;
 - per-case outcomes memoize into an artifact store, so re-runs only
   score what changed — new cases, new model, new scoring knobs;
 - the same workload runs over the wire: ``POST /v1/eval`` against a

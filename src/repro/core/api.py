@@ -6,7 +6,7 @@
     pipeline.run_datagen()       # Section II  (Verilog-PT / -Bug / SVA-Bug)
     pipeline.train()             # Section III (PT -> SFT -> DPO)
     pipeline.build_benchmark()   # Section IV  (SVA-Eval machine + human)
-    results = pipeline.evaluate()           # Section V (all models)
+    reports = pipeline.evaluate()           # Section V (all models)
     print(pipeline.report())                # all tables and figures
 
 Each step is lazily triggered by the ones after it, so ``pipeline.report()``
@@ -25,18 +25,18 @@ from repro.corpus.generator import resolve_families
 from repro.datagen.pipeline import DatagenConfig, DatasetBundle, run_pipeline
 from repro.engine import ExecutionEngine
 from repro.eval.benchmark import SvaEvalBenchmark, build_benchmark
-from repro.eval.histogram import render_histogram
+from repro.eval.config import EvalConfig
+from repro.eval.report import EvalReport
 from repro.eval.reporting import (
     render_fig4,
     render_fig5,
+    render_histogram,
     render_table1,
     render_table2,
     render_table3,
     render_table4,
 )
-from repro.eval.config import EvalConfig
-from repro.eval.report import EvalReport
-from repro.eval.runner import EvalResult, run_eval
+from repro.eval.runner import run_eval
 from repro.model.assertsolver import AssertSolver
 from repro.sim.compiled import SIM_MODES
 from repro.store import StoreConfig
@@ -256,7 +256,6 @@ class AssertSolverPipeline:
         self.sft_model: Optional[AssertSolver] = None
         self.assertsolver: Optional[AssertSolver] = None
         self.benchmark: Optional[SvaEvalBenchmark] = None
-        self.results: Dict[str, EvalResult] = {}
         self.reports: Dict[str, EvalReport] = {}
 
     # -- stages --------------------------------------------------------------
@@ -303,9 +302,10 @@ class AssertSolverPipeline:
         models.extend([self.base_model, self.sft_model, self.assertsolver])
         return models
 
-    def evaluate(self) -> Dict[str, EvalResult]:
-        if self.results:
-            return self.results
+    def evaluate(self) -> Dict[str, EvalReport]:
+        """One :class:`EvalReport` per model, keyed by model name."""
+        if self.reports:
+            return self.reports
         benchmark = self.build_benchmark()
         eval_config = self.config.eval_config()
         store = (self.config.store.make_store()
@@ -314,19 +314,18 @@ class AssertSolverPipeline:
             for model in self.models():
                 report = run_eval(model, benchmark.cases, config=eval_config,
                                   engine=engine, store=store)
-                self.reports[report.result.model_name] = report
-                self.results[report.result.model_name] = report.result
-        return self.results
+                self.reports[report.model_name] = report
+        return self.reports
 
     # -- reporting -------------------------------------------------------------
 
-    def table3_results(self) -> Dict[str, EvalResult]:
+    def table3_results(self) -> Dict[str, EvalReport]:
         results = self.evaluate()
         return {"Base Model": results["Base Model"],
                 "SFT Model": results["SFT Model"],
                 "AssertSolver": results["AssertSolver"]}
 
-    def table4_results(self) -> Dict[str, EvalResult]:
+    def table4_results(self) -> Dict[str, EvalReport]:
         results = self.evaluate()
         order = ["Claude-3.5", "GPT-4", "o1-preview", "Deepseek-coder-6.7b",
                  "CodeLlama-7b", "Llama-3.1-8b", "AssertSolver"]

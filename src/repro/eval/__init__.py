@@ -1,5 +1,9 @@
-"""Evaluation: the SVA-Eval benchmark, pass@k, bucketed analyses and the
-experiment runners that regenerate every table and figure of the paper."""
+"""Evaluation: the SVA-Eval benchmark, pass@k, and the runner that
+regenerates every table and figure of the paper.
+
+``run_eval`` returns one :class:`EvalReport` per model; its per-origin and
+per-bucket splits, c-histogram and per-case outcomes feed every renderer
+in :mod:`repro.eval.reporting`."""
 
 from repro.eval.passk import aggregate_pass_at_k, pass_at_k
 
@@ -10,11 +14,9 @@ __all__ = [
     "build_benchmark",
     "EvalConfig",
     "EvalReport",
-    "EvalResult",
     "case_digest",
     "cases_from_json",
     "cases_to_json",
-    "evaluate_model",
     "eval_memo_key",
     "is_correct",
     "model_digest",
@@ -26,11 +28,9 @@ _LAZY = {
     "build_benchmark": "repro.eval.benchmark",
     "EvalConfig": "repro.eval.config",
     "EvalReport": "repro.eval.report",
-    "EvalResult": "repro.eval.runner",
     "case_digest": "repro.eval.cases",
     "cases_from_json": "repro.eval.cases",
     "cases_to_json": "repro.eval.cases",
-    "evaluate_model": "repro.eval.runner",
     "eval_memo_key": "repro.eval.runner",
     "is_correct": "repro.eval.runner",
     "model_digest": "repro.eval.runner",

@@ -7,21 +7,24 @@ payload whose :meth:`to_json` is byte-deterministic: two runs that score
 the same cases the same way serialize identically, whether the outcomes
 were computed cold, replayed from the store, or carried over the wire.
 
-Volatile attributes (the backing :class:`EvalResult`, the model digest,
-memoization stats) ride on the object for callers but are excluded from
-the payload — a warm re-run must reproduce the cold bytes even though
-its memo counters differ.
+Volatile attributes (the model digest and memoization stats) ride on
+the object for callers but are excluded from the payload — a warm
+re-run must reproduce the cold bytes even though its memo counters
+differ.
 
 Empty splits are *omitted*, not rendered as ``0.0``: a benchmark with no
 human-origin cases has no ``origins["human"]`` entry at all, so "no
-data" can never be misread as "all failed" (the
-:meth:`EvalResult.pass_at_origin` fix, applied to the wire format).
+data" can never be misread as "all failed", and
+:meth:`EvalReport.pass_at_origin` answers ``None`` for it.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Dict, List, Optional
+
+from repro.eval.passk import aggregate_pass_at_k
 
 __all__ = ["EvalReport"]
 
@@ -32,67 +35,77 @@ REPORT_SCHEMA = "eval/v1"
 class EvalReport:
     """A canonical payload plus volatile run context.
 
-    Build one with :meth:`from_result` (in-process runs) or
+    Build one with :meth:`from_outcomes` (in-process runs) or
     :meth:`from_json` (off the wire); both produce objects whose
     :meth:`to_json` bytes agree.
     """
 
-    __slots__ = ("_payload", "result", "model_digest", "stats")
+    __slots__ = ("_payload", "model_digest", "stats")
 
-    def __init__(self, payload: Dict[str, object], result=None,
-                 model_digest: str = "",
+    def __init__(self, payload: Dict[str, object], model_digest: str = "",
                  stats: Optional[Dict[str, int]] = None):
         self._payload = payload
-        self.result = result
         self.model_digest = model_digest
         self.stats = stats or {}
 
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def from_result(cls, result, config) -> "EvalReport":
-        """Render ``result`` (an :class:`EvalResult`) under ``config``."""
-        from repro.eval.buckets import bug_type_buckets, length_buckets
+    def from_outcomes(cls, model_name: str, outcomes, config
+                      ) -> "EvalReport":
+        """Render ``(case, n, c)`` triples, in evaluation order, under
+        ``config``.
+
+        Every split averages its cases in that order, so the pass@k
+        floats (and with them :meth:`to_json`) depend only on the
+        outcomes and their order."""
+        from repro.bugs.taxonomy import BUG_TYPE_ORDER, LENGTH_BINS, length_bin_label
 
         ks = list(config.k_values)
+
+        def split(subset) -> Dict[str, object]:
+            return {"n_cases": len(subset),
+                    "pass_at": {str(k): aggregate_pass_at_k(
+                        ((n, c) for _, n, c in subset), k) for k in ks}}
+
         origins: Dict[str, object] = {}
         for origin in ("machine", "human"):
-            subset = [o for o in result.outcomes if o.case.origin == origin]
-            if not subset:
-                continue  # omitted, never 0.0
-            origins[origin] = {
-                "n_cases": len(subset),
-                "pass_at": {str(k): result.pass_at(k, subset) for k in ks},
-            }
-        buckets: Dict[str, object] = {}
-        for axis, grouped in (("bug_type", bug_type_buckets(result)),
-                              ("length", length_buckets(result))):
-            rendered: Dict[str, object] = {}
-            for label, outcomes in grouped.items():
-                if not outcomes:
-                    continue  # empty buckets are omitted too
-                rendered[label] = {
-                    "n_cases": len(outcomes),
-                    "pass_at": {str(k): result.pass_at(k, outcomes)
-                                for k in ks},
-                }
-            buckets[axis] = rendered
+            subset = [o for o in outcomes if o[0].origin == origin]
+            if subset:  # omitted, never 0.0
+                origins[origin] = split(subset)
+        # A case lands in three bug-type buckets (one per taxonomy axis,
+        # exactly as the paper's counts do) and in one length bucket.
+        by_type: Dict[str, list] = {name: [] for name in BUG_TYPE_ORDER}
+        by_length: Dict[str, list] = {length_bin_label(b): []
+                                      for b in LENGTH_BINS}
+        for outcome in outcomes:
+            entry = outcome[0].entry
+            for label in entry.bucket_labels():
+                if label in by_type:
+                    by_type[label].append(outcome)
+            by_length[length_bin_label(entry.length_bin())].append(outcome)
+        buckets = {axis: {label: split(subset)
+                          for label, subset in grouped.items()
+                          if subset}  # empty buckets are omitted too
+                   for axis, grouped in (("bug_type", by_type),
+                                         ("length", by_length))}
+        histogram = Counter(c for _, _, c in outcomes)
         payload = {
             "schema": REPORT_SCHEMA,
-            "model": result.model_name,
-            "n_samples": result.n_samples,
+            "model": model_name,
+            "n_samples": config.n_samples,
             "seed": config.seed,
             "semantic_check": config.semantic_check,
             "k_values": ks,
-            "n_cases": len(result.outcomes),
-            "pass_at": {str(k): result.pass_at(k) for k in ks},
+            "n_cases": len(outcomes),
+            "pass_at": split(outcomes)["pass_at"],
             "origins": origins,
             "buckets": buckets,
             "histogram": {str(c): count
-                          for c, count in sorted(result.histogram().items())},
-            "cases": [[o.case.case_id, o.n, o.c] for o in result.outcomes],
+                          for c, count in sorted(histogram.items())},
+            "cases": [[case.case_id, n, c] for case, n, c in outcomes],
         }
-        return cls(payload, result=result)
+        return cls(payload)
 
     @classmethod
     def from_json(cls, text) -> "EvalReport":

@@ -1,13 +1,13 @@
 """Table/figure renderers: each function prints one artefact of the paper,
-with the published numbers alongside ours where applicable."""
+with the published numbers alongside ours where applicable.  Every
+renderer reads :class:`EvalReport` objects, keyed by model name."""
 
 from __future__ import annotations
 
 from typing import Dict
 
 from repro.bugs.taxonomy import BUG_TYPE_ORDER, LENGTH_BINS, TABLE1_ROWS, length_bin_label
-from repro.eval.buckets import bucket_pass_at
-from repro.eval.runner import EvalResult
+from repro.eval.report import EvalReport
 
 # Published numbers, for side-by-side display.
 PAPER_TABLE3 = {
@@ -71,15 +71,15 @@ def render_table2(train_distribution: Dict[str, int],
     return "\n".join(lines)
 
 
-def render_table3(results: Dict[str, EvalResult]) -> str:
+def render_table3(results: Dict[str, EvalReport]) -> str:
     """Table III: pass@k for Base vs SFT vs AssertSolver."""
     lines = ["Table III: model performance as pass@k (ours vs paper)"]
     lines.append(f"{'Metric':<10}" + "".join(name.rjust(24)
                                              for name in results))
     for k in (1, 5):
         row = [f"pass@{k}".ljust(10)]
-        for name, result in results.items():
-            ours = 100 * result.pass_at(k)
+        for name, report in results.items():
+            ours = 100 * report.pass_at(k)
             paper = PAPER_TABLE3.get(name, (None, None))[0 if k == 1 else 1]
             cell = f"{ours:6.2f}%"
             if paper is not None:
@@ -89,7 +89,7 @@ def render_table3(results: Dict[str, EvalResult]) -> str:
     return "\n".join(lines)
 
 
-def render_table4(results: Dict[str, EvalResult]) -> str:
+def render_table4(results: Dict[str, EvalReport]) -> str:
     """Table IV: all models x {Machine, Human, All} x pass@{1,5}."""
     lines = ["Table IV: comparison on SVA-Eval (ours | paper)"]
     header = (f"{'Model':<22}" + "Machine@1".rjust(10) + "Machine@5".rjust(10)
@@ -97,14 +97,14 @@ def render_table4(results: Dict[str, EvalResult]) -> str:
               + "All@1".rjust(10) + "All@5".rjust(10))
     lines.append(header)
     lines.append("-" * len(header))
-    for name, result in results.items():
+    for name, report in results.items():
         ours = (
-            result.pass_at_origin(1, "machine"),
-            result.pass_at_origin(5, "machine"),
-            result.pass_at_origin(1, "human"),
-            result.pass_at_origin(5, "human"),
-            result.pass_at(1),
-            result.pass_at(5),
+            report.pass_at_origin(1, "machine"),
+            report.pass_at_origin(5, "machine"),
+            report.pass_at_origin(1, "human"),
+            report.pass_at_origin(5, "human"),
+            report.pass_at(1),
+            report.pass_at(5),
         )
         lines.append(f"{name:<22}" + "".join(_pct(v).rjust(10) for v in ours))
         paper = PAPER_TABLE4.get(name)
@@ -114,22 +114,22 @@ def render_table4(results: Dict[str, EvalResult]) -> str:
     return "\n".join(lines)
 
 
-def render_bucket_figure(results: Dict[str, EvalResult], k: int,
+def render_bucket_figure(results: Dict[str, EvalReport], k: int,
                          by: str, title: str) -> str:
     """Fig. 4 / Fig. 5 panels: pass@k per bucket per model."""
     lines = [title]
     names = (BUG_TYPE_ORDER if by == "bug_type"
              else [length_bin_label(b) for b in LENGTH_BINS])
     lines.append(f"{'Model':<22}" + "".join(n.rjust(12) for n in names))
-    for model_name, result in results.items():
-        scores = bucket_pass_at(result, k, by=by)
+    for model_name, report in results.items():
+        scores = report.bucket_pass_at(k, by=by)
         lines.append(f"{model_name:<22}"
                      + "".join(_pct(scores.get(n, float('nan'))).rjust(12)
                                for n in names))
     return "\n".join(lines)
 
 
-def render_fig4(results: Dict[str, EvalResult]) -> str:
+def render_fig4(results: Dict[str, EvalReport]) -> str:
     parts = [
         render_bucket_figure(results, 1, "bug_type",
                              "Fig 4(a): pass@1 by bug type"),
@@ -143,7 +143,7 @@ def render_fig4(results: Dict[str, EvalResult]) -> str:
     return "\n\n".join(parts)
 
 
-def render_fig5(sft: EvalResult, assertsolver: EvalResult) -> str:
+def render_fig5(sft: EvalReport, assertsolver: EvalReport) -> str:
     results = {"SFT Model": sft, "AssertSolver": assertsolver}
     parts = [
         render_bucket_figure(results, 1, "bug_type",
@@ -156,3 +156,36 @@ def render_fig5(sft: EvalResult, assertsolver: EvalResult) -> str:
                              "Fig 5(b): pass@5 by code length (SFT vs DPO)"),
     ]
     return "\n\n".join(parts)
+
+
+def extremity_mass(report: EvalReport, n: int = 20) -> float:
+    """Fraction of cases at the deterministic ends (c = 0 or c = n) —
+    the mass the paper's Fig. 3 sees DPO move outward relative to SFT."""
+    if not report.n_cases:
+        return 0.0
+    histogram = report.histogram()
+    return (histogram.get(0, 0) + histogram.get(n, 0)) / report.n_cases
+
+
+def render_histogram(results: Dict[str, EvalReport], n: int = 20,
+                     width: int = 40) -> str:
+    """Fig. 3: how many cases got c of their n responses right, as ASCII
+    (one row per c, one column per model)."""
+    lines = []
+    names = list(results)
+    header = "c".rjust(4) + "".join(name.rjust(width // len(names) + 10)
+                                    for name in names)
+    lines.append(header)
+    histograms = {name: report.histogram()
+                  for name, report in results.items()}
+    for c in range(n + 1):
+        row = [str(c).rjust(4)]
+        for name in names:
+            count = histograms[name].get(c, 0)
+            bar = "#" * min(count, width // len(names))
+            row.append(f"{count:5d} {bar}".ljust(width // len(names) + 10))
+        lines.append("".join(row))
+    for name in names:
+        lines.append(f"extremity mass ({name}): "
+                     f"{extremity_mass(results[name], n):.2%}")
+    return "\n".join(lines)

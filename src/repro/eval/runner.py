@@ -5,8 +5,8 @@ surrogates) over a case list under an :class:`EvalConfig` and produces
 an :class:`EvalReport` holding everything the paper's tables and figures
 need: per-case correct counts, aggregate pass@k for the config's
 k-vector, per-origin splits, per-bucket splits and the c-histogram.
-``evaluate_model`` survives as a thin deprecated shim over it, returning
-the legacy :class:`EvalResult`.
+The report is the only result type: the renderers in
+:mod:`repro.eval.reporting` and the pipeline's tables read it directly.
 
 Correctness follows the paper: the answer's buggy line must match the
 golden buggy line and the suggested fix must match the golden fixed line
@@ -33,15 +33,13 @@ from __future__ import annotations
 import hashlib
 import pickle
 import random
-import warnings
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.datagen.records import SvaEvalCase
 from repro.engine import ExecutionEngine, derive_rng
 from repro.eval.cases import case_digest
 from repro.eval.config import EvalConfig
-from repro.eval.passk import aggregate_pass_at_k
 from repro.eval.report import EvalReport
 from repro.model.assertsolver import Problem, SolverResponse
 from repro.store.base import NS_EVAL, content_key
@@ -79,55 +77,6 @@ def semantic_check(response: SolverResponse, case: SvaEvalCase,
     return check.passed_bound
 
 
-class CaseOutcome:
-    __slots__ = ("case", "n", "c")
-
-    def __init__(self, case: SvaEvalCase, n: int, c: int):
-        self.case = case
-        self.n = n
-        self.c = c
-
-
-class EvalResult:
-    """All outcomes of one model over one case list."""
-
-    def __init__(self, model_name: str, outcomes: List[CaseOutcome],
-                 n_samples: int):
-        self.model_name = model_name
-        self.outcomes = outcomes
-        self.n_samples = n_samples
-
-    # -- aggregates ---------------------------------------------------------
-
-    def pass_at(self, k: int, subset: Optional[Sequence[CaseOutcome]] = None
-                ) -> float:
-        outcomes = self.outcomes if subset is None else list(subset)
-        return aggregate_pass_at_k(((o.n, o.c) for o in outcomes), k)
-
-    def pass_at_origin(self, k: int, origin: str) -> Optional[float]:
-        """``None`` when no case has ``origin`` — an empty split is "no
-        data", which must never be mistakable for "all failed" (0.0)."""
-        subset = [o for o in self.outcomes if o.case.origin == origin]
-        if not subset:
-            return None
-        return self.pass_at(k, subset)
-
-    def histogram(self) -> Dict[int, int]:
-        """c-value histogram (the paper's Fig. 3 series)."""
-        counts: Dict[int, int] = {}
-        for outcome in self.outcomes:
-            counts[outcome.c] = counts.get(outcome.c, 0) + 1
-        return counts
-
-    def subset_where(self, predicate) -> List[CaseOutcome]:
-        return [o for o in self.outcomes if predicate(o.case)]
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"EvalResult({self.model_name}: "
-                f"pass@1={self.pass_at(1):.4f}, pass@5={self.pass_at(5):.4f}, "
-                f"{len(self.outcomes)} cases)")
-
-
 def generate_for_case(model, case: SvaEvalCase, n: int,
                       rng: random.Random) -> List[SolverResponse]:
     """Dispatch: baseline surrogates take the case, trained models take the
@@ -159,7 +108,7 @@ def _score_case(model, case: SvaEvalCase, n: int, seed: int,
 # A process-pool run used to pickle the model object graph once per chunk
 # (workers * 4 times per model); for large checkpoints the serialization
 # dominated the fan-out cost.  Now the model is pickled exactly once per
-# evaluate_model call and the same immutable blob rides along with every
+# run_eval call and the same immutable blob rides along with every
 # chunk (re-sending bytes is a buffer copy, not a graph walk); each
 # worker deserializes it once, verifies the content digest, and memoizes
 # it, so later chunks on the same worker skip deserialization too.
@@ -297,29 +246,10 @@ def run_eval(model, cases: Iterable[SvaEvalCase],
         scores[i] = tuple(score)
         if store is not None:
             store.put(NS_EVAL, keys[i], tuple(score))
-    outcomes = [CaseOutcome(case, total, c)
-                for case, (total, c) in zip(cases, scores)]
     name = getattr(model, "name", type(model).__name__)
-    result = EvalResult(name, outcomes, config.n_samples)
-    report = EvalReport.from_result(result, config)
+    report = EvalReport.from_outcomes(
+        name, [(case, n, c) for case, (n, c) in zip(cases, scores)], config)
     report.model_digest = digest
     report.stats = {"cases": len(cases), "memo_hits": hits,
                     "computed": len(miss_idx)}
     return report
-
-
-def evaluate_model(model, cases: Iterable[SvaEvalCase], n: int = 20,
-                   seed: int = 123,
-                   engine: Optional[ExecutionEngine] = None) -> EvalResult:
-    """Deprecated shim over :func:`run_eval` (paper defaults: n=20).
-
-    The loose positional knobs became :class:`EvalConfig`; this keeps
-    the old signature and :class:`EvalResult` return working while
-    callers migrate."""
-    warnings.warn(
-        "evaluate_model() is deprecated; use "
-        "run_eval(model, cases, EvalConfig(n_samples=..., seed=...))",
-        DeprecationWarning, stacklevel=2)
-    report = run_eval(model, cases,
-                      EvalConfig(n_samples=n, seed=seed), engine=engine)
-    return report.result

@@ -27,6 +27,9 @@ like one bigger instance without forking the protocol or the bytes:
   snapshot are summed into one fleet view (``service`` / ``store`` /
   ``solve_profile``), with per-backend snapshots and router counters
   alongside — ratios only make sense per backend, so read them there.
+  ``/statsz``, ``/metricsz``, ``/tracez`` and ``/covz`` share one
+  serial fan-out that never ejects: a slow scrape is counted in
+  ``diagnostic_failures``, not mistaken for a dead backend.
 - **Graceful drain that propagates.**  ``close()`` stops accepting,
   lets in-flight forwards finish against still-live backends (handler
   threads are joined), and only then drains the backends themselves
@@ -388,6 +391,17 @@ def _diag_query(**params: Optional[int]) -> str:
     return f"?{'&'.join(parts)}" if parts else ""
 
 
+def _json_object(data: Optional[bytes]) -> Optional[Dict[str, object]]:
+    """``data`` parsed as a JSON object, or None (absent or malformed)."""
+    if data is None:
+        return None
+    try:
+        payload = json.loads(data)
+    except ValueError:
+        return None
+    return payload if isinstance(payload, dict) else None
+
+
 class FleetRouter:
     """A consistent-hash HTTP router over N solve backends.
 
@@ -446,6 +460,7 @@ class FleetRouter:
         self._failovers = 0
         self._no_backend = 0
         self._cancel_broadcasts = 0
+        self._diagnostic_failures = 0
         self._httpd: Optional[_ThreadedHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
         self._health_thread: Optional[threading.Thread] = None
@@ -462,7 +477,7 @@ class FleetRouter:
             "repro_router_forward_seconds",
             "Solve-forward round trip to a backend (success or failure).")
         for name in ("routed", "spillovers", "failovers", "no_backend",
-                     "cancel_broadcasts"):
+                     "cancel_broadcasts", "diagnostic_failures"):
             self.metrics.counter_callback(
                 f"repro_router_{name}_total", f"Router {name} count.",
                 (lambda attr: lambda: getattr(self, attr))(f"_{name}"))
@@ -734,6 +749,34 @@ class FleetRouter:
         if started is not None:
             self._http_seconds.observe(time.perf_counter() - started)
 
+    def _fan_out(self, path: str
+                 ) -> List[Tuple[_BackendSlot, Optional[bytes]]]:
+        """``GET path`` from every backend in turn: ``(slot, body)``,
+        with ``body`` None where the backend did not answer 200.
+
+        Diagnostic scrapes never change routing — only the health
+        probe and request forwards eject — so a backend that is slow
+        or failing here is counted in ``diagnostic_failures`` and
+        otherwise left alone."""
+        bodies: List[Tuple[_BackendSlot, Optional[bytes]]] = []
+        for slot in self._slots:
+            try:
+                status, _, data = self._forward(
+                    slot, "GET", path, None, self.config.probe_timeout_s)
+            except (OSError, http.client.HTTPException):
+                status, data = None, None
+            if status != 200:
+                with self._lock:
+                    self._diagnostic_failures += 1
+                data = None
+            bodies.append((slot, data))
+        return bodies
+
+    def _fan_out_json(self, path: str) -> List[Dict[str, object]]:
+        """The JSON-object bodies of :meth:`_fan_out`, in backend order."""
+        payloads = (_json_object(data) for _, data in self._fan_out(path))
+        return [payload for payload in payloads if payload is not None]
+
     def metricsz(self) -> str:
         """The fleet-wide ``GET /metricsz`` exposition.
 
@@ -745,17 +788,8 @@ class FleetRouter:
         the single-process ``make_fleet()`` shape those are one shared
         set of counters (so, as with the summed ``/statsz`` profile,
         N co-located backends count shared state N times)."""
-        texts: List[str] = []
-        for slot in self._slots:
-            try:
-                status, _, data = self._forward(
-                    slot, "GET", "/metricsz", None,
-                    self.config.probe_timeout_s)
-                if status == 200:
-                    texts.append(data.decode("utf-8"))
-            except (OSError, http.client.HTTPException) as exc:
-                self._eject(slot, f"metricsz probe failed: "
-                                  f"{type(exc).__name__}")
+        texts = [data.decode("utf-8")
+                 for _, data in self._fan_out("/metricsz") if data is not None]
         texts.append(obs_metrics.render_prometheus(
             [self.metrics], include_providers=False))
         return obs_metrics.merge_expositions(texts)
@@ -773,23 +807,9 @@ class FleetRouter:
         local = obs_trace.buffer().snapshot()
         recent = list(local["recent"])
         slow_records = list(local["slowest"])
-        reached = 0
-        query = _diag_query(limit=limit, slowest=slowest)
-        for slot in self._slots:
-            try:
-                status, _, data = self._forward(
-                    slot, "GET", f"/tracez{query}", None,
-                    self.config.probe_timeout_s)
-                payload = json.loads(data) if status == 200 else None
-            except (OSError, http.client.HTTPException) as exc:
-                self._eject(slot, f"tracez probe failed: "
-                                  f"{type(exc).__name__}")
-                continue
-            except ValueError:
-                continue
-            if not isinstance(payload, dict):
-                continue
-            reached += 1
+        payloads = self._fan_out_json(
+            f"/tracez{_diag_query(limit=limit, slowest=slowest)}")
+        for payload in payloads:
             recent.extend(payload.get("recent") or ())
             slow_records.extend(payload.get("slowest") or ())
         merged_recent = obs_trace.merge_trace_records(recent)
@@ -801,7 +821,7 @@ class FleetRouter:
             merged_slowest = merged_slowest[:slowest]
         return {
             "enabled": local["enabled"],
-            "backends_reached": reached,
+            "backends_reached": len(payloads),
             "recent": merged_recent,
             "slowest": merged_slowest,
         }
@@ -814,27 +834,10 @@ class FleetRouter:
         max), so fleet-wide toggle/block/vacuity counters sum exactly
         once per backend.  ``limit`` caps the merged design list and is
         forwarded on the fan-out."""
-        payloads: List[Dict[str, object]] = [cov.buffer().snapshot()]
-        reached = 0
-        query = _diag_query(limit=limit)
-        for slot in self._slots:
-            try:
-                status, _, data = self._forward(
-                    slot, "GET", f"/covz{query}", None,
-                    self.config.probe_timeout_s)
-                payload = json.loads(data) if status == 200 else None
-            except (OSError, http.client.HTTPException) as exc:
-                self._eject(slot, f"covz probe failed: "
-                                  f"{type(exc).__name__}")
-                continue
-            except ValueError:
-                continue
-            if not isinstance(payload, dict):
-                continue
-            reached += 1
-            payloads.append(payload)
-        merged = cov.merge_covz_payloads(payloads, limit=limit)
-        merged["backends_reached"] = reached
+        payloads = self._fan_out_json(f"/covz{_diag_query(limit=limit)}")
+        merged = cov.merge_covz_payloads(
+            [cov.buffer().snapshot(), *payloads], limit=limit)
+        merged["backends_reached"] = len(payloads)
         return merged
 
     def stats(self) -> Dict[str, object]:
@@ -852,6 +855,7 @@ class FleetRouter:
                 "readmissions": sum(
                     slot.readmissions for slot in self._slots),
                 "cancel_broadcasts": self._cancel_broadcasts,
+                "diagnostic_failures": self._diagnostic_failures,
             }
 
     def statsz(self) -> Dict[str, object]:
@@ -867,18 +871,9 @@ class FleetRouter:
         profile_total: Dict[str, float] = {}
         store_seen = False
         backends_payload: List[Dict[str, object]] = []
-        for slot in self._slots:
-            snapshot = None
-            try:
-                status, _, data = self._forward(
-                    slot, "GET", "/statsz", None,
-                    self.config.probe_timeout_s)
-                if status == 200:
-                    snapshot = json.loads(data)
-            except (OSError, http.client.HTTPException) as exc:
-                self._eject(slot, f"statsz probe failed: "
-                                  f"{type(exc).__name__}")
-            if isinstance(snapshot, dict):
+        for slot, data in self._fan_out("/statsz"):
+            snapshot = _json_object(data)
+            if snapshot is not None:
                 _merge_numeric(service_total,
                                snapshot.get("service") or {})
                 store = snapshot.get("store")

@@ -215,6 +215,20 @@ metrics.register_provider("compile_cache", compile_cache_counters)
 
 
 def _compile_uncached(source_text: str) -> CompileResult:
+    try:
+        return _parse_and_elaborate(source_text)
+    except RecursionError:
+        # The recursive-descent parser and the elaborator recurse once
+        # per nesting level; a design nested deeper than the interpreter
+        # stack is a compile error of that design alone, never an
+        # exception that fails whatever else shares its batch.
+        result = CompileResult(source_text)
+        result.diagnostics.append(Diagnostic(
+            Diagnostic.ERROR, "design nests too deeply to compile", 1))
+        return result
+
+
+def _parse_and_elaborate(source_text: str) -> CompileResult:
     result = CompileResult(source_text)
     try:
         result.source = parse_source(source_text)

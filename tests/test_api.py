@@ -8,7 +8,7 @@ and the pipeline report renders every artefact.
 import pytest
 
 from repro.core.api import AssertSolverPipeline, PipelineConfig
-from repro.eval.histogram import extremity_mass
+from repro.eval.reporting import extremity_mass
 
 
 @pytest.fixture(scope="module")

@@ -7,20 +7,17 @@ from hypothesis import given, strategies as st
 
 from repro.baselines.engine import make_baseline
 from repro.baselines.profiles import case_difficulty, get_profile
-from repro.eval.buckets import bucket_pass_at, bug_type_buckets, length_buckets
 from repro.eval.cases import case_digest, cases_from_json, cases_to_json
 from repro.eval.config import EvalConfig
-from repro.eval.histogram import extremity_mass, histogram_series
 from repro.eval.passk import aggregate_pass_at_k, pass_at_k
 from repro.eval.report import EvalReport
-from repro.eval.reporting import render_table1, render_table3, render_table4
-from repro.eval.runner import (
-    eval_memo_key,
-    evaluate_model,
-    is_correct,
-    model_digest,
-    run_eval,
+from repro.eval.reporting import (
+    extremity_mass,
+    render_table1,
+    render_table3,
+    render_table4,
 )
+from repro.eval.runner import eval_memo_key, is_correct, model_digest, run_eval
 from repro.model.assertsolver import SolverResponse
 from repro.store import NS_EVAL, MemoryStore
 
@@ -107,27 +104,35 @@ class TestCorrectness:
         assert not is_correct(wrong, case)
 
 
+def _evaluate(model, cases, n, seed=123, engine=None):
+    """``run_eval`` at the paper's default seed, as most tests need it."""
+    return run_eval(model, cases, EvalConfig(n_samples=n, seed=seed),
+                    engine=engine)
+
+
 class TestRunner:
-    def test_evaluate_model_counts(self, small_bundle, trained_models):
+    def test_run_eval_counts(self, small_bundle, trained_models):
         _, sft, _ = trained_models
-        result = evaluate_model(sft, small_bundle.sva_eval_machine, n=8)
-        assert len(result.outcomes) == len(small_bundle.sva_eval_machine)
-        for outcome in result.outcomes:
-            assert 0 <= outcome.c <= outcome.n == 8
+        report = _evaluate(sft, small_bundle.sva_eval_machine, n=8)
+        outcomes = report.case_outcomes()
+        assert len(outcomes) == len(small_bundle.sva_eval_machine)
+        for _, n, c in outcomes:
+            assert 0 <= c <= n == 8
 
     def test_histogram_total(self, small_bundle, trained_models):
         _, sft, _ = trained_models
-        result = evaluate_model(sft, small_bundle.sva_eval_machine, n=8)
-        series = histogram_series(result, n=8)
-        assert sum(series) == len(result.outcomes)
-        assert 0.0 <= extremity_mass(result, n=8) <= 1.0
+        report = _evaluate(sft, small_bundle.sva_eval_machine, n=8)
+        histogram = report.histogram()
+        assert set(histogram) <= set(range(9))
+        assert sum(histogram.values()) == len(report.case_outcomes())
+        assert 0.0 <= extremity_mass(report, n=8) <= 1.0
 
     def test_origin_split(self, small_bundle, trained_models, human_cases):
         _, sft, _ = trained_models
         cases = small_bundle.sva_eval_machine + human_cases[:4]
-        result = evaluate_model(sft, cases, n=6)
-        assert result.pass_at_origin(1, "machine") >= 0.0
-        assert result.pass_at_origin(1, "human") >= 0.0
+        report = _evaluate(sft, cases, n=6)
+        assert report.pass_at_origin(1, "machine") >= 0.0
+        assert report.pass_at_origin(1, "human") >= 0.0
 
 
 class SerializationCountingModel:
@@ -155,7 +160,7 @@ class SerializationCountingModel:
 
 
 class TestModelTransport:
-    """evaluate_model must serialize the model once per run, not per chunk."""
+    """run_eval must serialize the model once per run, not per chunk."""
 
     def test_process_run_pickles_model_once(self, small_bundle):
         from repro.engine import ExecutionEngine
@@ -164,17 +169,15 @@ class TestModelTransport:
         assert len(cases) > 1
         model = SerializationCountingModel()
         SerializationCountingModel.pickle_count = 0
-        serial = evaluate_model(model, cases, n=4, seed=9)
+        serial = _evaluate(model, cases, n=4, seed=9)
         assert SerializationCountingModel.pickle_count == 0
         with ExecutionEngine(n_workers=2, backend="process") as engine:
-            parallel = evaluate_model(model, cases, n=4, seed=9,
-                                      engine=engine)
+            parallel = _evaluate(model, cases, n=4, seed=9, engine=engine)
             # However many chunks fan out, the object graph is walked
             # exactly twice per run: once for transport, once for the
             # after-run fingerprint assertion — never once per chunk.
             assert SerializationCountingModel.pickle_count == 2
-        assert [(o.n, o.c) for o in serial.outcomes] == \
-               [(o.n, o.c) for o in parallel.outcomes]
+        assert serial.case_outcomes() == parallel.case_outcomes()
 
     def test_thread_run_never_pickles(self, small_bundle):
         from repro.engine import ExecutionEngine
@@ -182,8 +185,8 @@ class TestModelTransport:
         model = SerializationCountingModel()
         SerializationCountingModel.pickle_count = 0
         with ExecutionEngine(n_workers=2, backend="thread") as engine:
-            evaluate_model(model, small_bundle.sva_eval_machine, n=2,
-                           seed=9, engine=engine)
+            _evaluate(model, small_bundle.sva_eval_machine, n=2, seed=9,
+                      engine=engine)
         assert SerializationCountingModel.pickle_count == 0
 
     def test_trained_model_parallel_matches_serial(self, small_bundle,
@@ -191,36 +194,40 @@ class TestModelTransport:
         from repro.engine import ExecutionEngine
 
         _, sft, _ = trained_models
-        serial = evaluate_model(sft, small_bundle.sva_eval_machine, n=4,
-                                seed=3)
+        serial = _evaluate(sft, small_bundle.sva_eval_machine, n=4, seed=3)
         with ExecutionEngine(n_workers=2, backend="process") as engine:
-            parallel = evaluate_model(sft, small_bundle.sva_eval_machine,
-                                      n=4, seed=3, engine=engine)
-        assert [(o.n, o.c) for o in serial.outcomes] == \
-               [(o.n, o.c) for o in parallel.outcomes]
+            parallel = _evaluate(sft, small_bundle.sva_eval_machine, n=4,
+                                 seed=3, engine=engine)
+        assert serial.case_outcomes() == parallel.case_outcomes()
+
+
+def _bucket_sizes(report, by):
+    """Cases per non-empty bucket (empty buckets are omitted)."""
+    return {label: entry["n_cases"]
+            for label, entry in report.to_dict()["buckets"][by].items()}
 
 
 class TestBuckets:
     def test_bug_type_buckets_partition_axes(self, small_bundle,
                                              trained_models):
         _, sft, _ = trained_models
-        result = evaluate_model(sft, small_bundle.sva_eval_machine, n=4)
-        buckets = bug_type_buckets(result)
-        n = len(result.outcomes)
-        assert len(buckets["Direct"]) + len(buckets["Indirect"]) == n
-        assert len(buckets["Cond"]) + len(buckets["Non_cond"]) == n
+        report = _evaluate(sft, small_bundle.sva_eval_machine, n=4)
+        sizes = _bucket_sizes(report, "bug_type")
+        n = len(report.case_outcomes())
+        assert sizes.get("Direct", 0) + sizes.get("Indirect", 0) == n
+        assert sizes.get("Cond", 0) + sizes.get("Non_cond", 0) == n
 
     def test_length_buckets_cover_all(self, small_bundle, trained_models):
         _, sft, _ = trained_models
-        result = evaluate_model(sft, small_bundle.sva_eval_machine, n=4)
-        buckets = length_buckets(result)
-        assert sum(len(v) for v in buckets.values()) == len(result.outcomes)
+        report = _evaluate(sft, small_bundle.sva_eval_machine, n=4)
+        assert sum(_bucket_sizes(report, "length").values()) == \
+               len(report.case_outcomes())
 
     def test_bucket_pass_at_unknown_axis(self, small_bundle, trained_models):
         _, sft, _ = trained_models
-        result = evaluate_model(sft, small_bundle.sva_eval_machine, n=4)
+        report = _evaluate(sft, small_bundle.sva_eval_machine, n=4)
         with pytest.raises(ValueError):
-            bucket_pass_at(result, 1, by="colour")
+            report.bucket_pass_at(1, by="colour")
 
 
 class TestBaselines:
@@ -258,8 +265,7 @@ class TestBaselines:
         for name in ("o1-preview", "Claude-3.5", "GPT-4", "Llama-3.1-8b",
                      "CodeLlama-7b", "Deepseek-coder-6.7b"):
             model = make_baseline(name, seed=0)
-            result = evaluate_model(model, cases, n=20)
-            scores[name] = result.pass_at(1)
+            scores[name] = _evaluate(model, cases, n=20).pass_at(1)
         assert scores["o1-preview"] > scores["GPT-4"]
         assert scores["Claude-3.5"] > scores["GPT-4"]
         assert scores["GPT-4"] > scores["Llama-3.1-8b"]
@@ -482,24 +488,12 @@ class TestEvalReport:
         _, sft, _ = trained_models
         report = run_eval(sft, small_bundle.sva_eval_machine,
                           config=EvalConfig(n_samples=4, seed=5))
-        assert report.result.pass_at_origin(1, "human") is None
+        assert report.pass_at_origin(1, "human") is None
         assert "human" not in json.loads(report.to_json())["origins"]
 
     def test_wrong_schema_rejected(self):
         with pytest.raises(ValueError):
             EvalReport.from_json(json.dumps({"schema": "eval/v0"}))
-
-
-class TestDeprecatedShim:
-    def test_evaluate_model_warns_and_matches_run_eval(self, small_bundle,
-                                                       trained_models):
-        _, sft, _ = trained_models
-        cases = small_bundle.sva_eval_machine
-        with pytest.warns(DeprecationWarning):
-            legacy = evaluate_model(sft, cases, n=4, seed=5)
-        modern = run_eval(sft, cases, config=EvalConfig(n_samples=4, seed=5))
-        assert [(o.n, o.c) for o in legacy.outcomes] == \
-               [(o.n, o.c) for o in modern.result.outcomes]
 
 
 class TestReporting:
@@ -513,13 +507,10 @@ class TestReporting:
                                            trained_models):
         base, sft, solver = trained_models
         results = {
-            "Base Model": evaluate_model(base,
-                                         small_bundle.sva_eval_machine, n=4),
-            "SFT Model": evaluate_model(sft,
-                                        small_bundle.sva_eval_machine, n=4),
-            "AssertSolver": evaluate_model(solver,
-                                           small_bundle.sva_eval_machine,
-                                           n=4),
+            "Base Model": _evaluate(base, small_bundle.sva_eval_machine, n=4),
+            "SFT Model": _evaluate(sft, small_bundle.sva_eval_machine, n=4),
+            "AssertSolver": _evaluate(solver, small_bundle.sva_eval_machine,
+                                      n=4),
         }
         text = render_table3(results)
         assert "paper 88.54" in text
@@ -527,6 +518,6 @@ class TestReporting:
 
     def test_table4_renders(self, small_bundle, trained_models):
         _, sft, _ = trained_models
-        result = evaluate_model(sft, small_bundle.sva_eval_machine, n=4)
-        text = render_table4({"AssertSolver": result})
+        report = _evaluate(sft, small_bundle.sva_eval_machine, n=4)
+        text = render_table4({"AssertSolver": report})
         assert "Machine@1" in text and "(paper)" in text

@@ -8,6 +8,8 @@ Covers the transport contract:
   in-process ``SolveResponse.to_json()`` for the same content hash —
   the transport must not fork determinism;
 - backpressure surfaces as 429 with a ``Retry-After`` header;
+- a design nested too deeply to parse fails alone with a 422, and the
+  requests batched with it get the bytes of a clean run;
 - ``DELETE /v1/solve/{request_id}`` cancels queued work, and a client
   handle's ``cancel()`` round-trips it;
 - graceful drain: a server closed mid-request still answers the
@@ -17,10 +19,12 @@ Covers the transport contract:
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import pytest
 
+from repro.corpus.generator import CorpusGenerator
 from repro.serve import (
     AssertClient,
     AssertHttpServer,
@@ -133,6 +137,42 @@ class TestSolveRoundTrip:
         response = client.solve("module broken (")
         assert response.status == "compile_error"
         assert not response.ok
+
+
+def post_batch(requests, **serve_overrides):
+    """POST ``requests`` concurrently into one batch of a fresh server:
+    ``[(status, body)]`` in request order, plus the server's batch count."""
+    config = dict(max_batch=len(requests), batch_window_ms=5000,
+                  result_cache=False, **serve_overrides)
+    with http_server(**config) as (server, client):
+        with ThreadPoolExecutor(max_workers=len(requests)) as pool:
+            replies = list(pool.map(
+                lambda r: client._request(
+                    "POST", "/v1/solve", request_to_json(r).encode()),
+                requests))
+        batches = server.service.stats().batches
+    return [(status, body) for status, _, body in replies], batches
+
+
+class TestPoisonRequest:
+    def test_deeply_nested_design_fails_alone(self):
+        generator = CorpusGenerator(seed=29)
+        mates = [SolveRequest(seed.source, SolveOptions.for_design(seed, **FAST))
+                 for seed in (generator.generate_one(family=family)
+                              for family in ("counter", "alu", "fsm"))]
+        # One assign nesting 3,000 parentheses: deeper than the parser's
+        # recursion can go.
+        poison = fast_request(
+            "module deep (input a, output wire y);\n  assign y = "
+            + "(" * 3000 + "a" + ")" * 3000 + ";\nendmodule\n")
+        clean, _ = post_batch(mates)
+        mixed, batches = post_batch([mates[0], poison, mates[1], mates[2]])
+        assert batches == 1  # all four really shared one batch
+        status, body = mixed.pop(1)
+        assert status == 422
+        assert response_from_json(body.decode()).status == "compile_error"
+        assert all(status == 200 for status, _ in clean)
+        assert mixed == clean
 
 
 class TestMalformedRequests:

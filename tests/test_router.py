@@ -12,10 +12,11 @@ Covers the fleet-serving contract:
   (Retry-After included) only when every backend refuses;
 - fleet ``/statsz`` sums numeric fields across backends and exposes
   per-backend snapshots plus router counters;
+- a diagnostic scrape that times out is counted, never ejects;
 - responses through the router are byte-identical to single-instance
   bodies, and a drain still answers in-flight clients end to end.
 
-Stub backends (scripted healthz/solve/statsz) pin down router logic
+Stub backends (scripted healthz/solve/statsz/metricsz) pin down router logic
 deterministically; a real ``make_fleet`` fleet covers the wire contract
 end to end.
 """
@@ -32,6 +33,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from repro.core.api import FleetConfig, PipelineConfig, make_fleet
+from repro.obs import metrics as obs_metrics
 from repro.serve import (
     AssertClient,
     AssertService,
@@ -99,6 +101,17 @@ class _StubHandler(BaseHTTPRequestHandler):
                         {"status": "ok" if ok else "unhealthy"})
         elif self.path == "/statsz":
             self._reply(200, stub.statsz_payload)
+        elif self.path == "/metricsz":
+            time.sleep(stub.metricsz_delay_s)
+            body = b"# TYPE stub_up gauge\nstub_up 1\n"
+            try:
+                self.send_response(200)
+                self.send_header("Content-Type", "text/plain; version=0.0.4")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+            except ConnectionError:
+                pass  # a slow stub's caller may have given up already
         else:
             self._reply(404, {"error": f"no such endpoint: {self.path}"})
 
@@ -128,6 +141,7 @@ class Stub:
         self.health_code = 200
         self.solve_code = 200
         self.cancelled = 0
+        self.metricsz_delay_s = 0.0
         self.statsz_payload = {"service": {}, "store": None,
                                "solve_profile": {}}
         self.log = []  # (global_seq, method) — cross-stub arrival order
@@ -155,7 +169,7 @@ class Stub:
 
 
 @contextmanager
-def stub_fleet(n: int = 3):
+def stub_fleet(n: int = 3, probe_timeout_s: float = 5.0):
     """A started router over ``n`` scripted stubs (manual probes only)."""
     with ExitStack() as stack:
         stubs = [Stub(f"stub-{i}") for i in range(n)]
@@ -163,7 +177,7 @@ def stub_fleet(n: int = 3):
             stack.callback(stub.close)
         router = FleetRouter([stub.node for stub in stubs],
                              RouterConfig(health_interval_s=60.0,
-                                          probe_timeout_s=5.0))
+                                          probe_timeout_s=probe_timeout_s))
         router.start()
         stack.callback(router.close)
         yield router, {stub.node: stub for stub in stubs}
@@ -388,6 +402,25 @@ class TestHealthEjection:
             assert health["http_status"] == 503
             assert health["status"] == "unavailable"
             assert health["backends"] == {"healthy": 0, "total": 2}
+
+
+class TestDiagnosticFanOut:
+    def test_slow_metricsz_scrape_is_counted_never_ejected(self):
+        with stub_fleet(probe_timeout_s=1.0) as (router, stubs):
+            request = variant(6)
+            owner = owner_stub(router, stubs, request.cache_key())
+            owner.metricsz_delay_s = 3.0  # well past probe_timeout_s
+            parsed = obs_metrics.parse_prometheus_text(router.metricsz())
+            assert parsed.value("stub_up") == 2  # the two that answered
+            assert parsed.value(
+                "repro_router_diagnostic_failures_total") == 1
+            assert router.health() == (3, 3)
+            stats = router.stats()
+            assert stats["ejections"] == 0
+            assert stats["diagnostic_failures"] == 1
+            status, _, body = post_solve(router, request)
+            assert status == 200
+            assert json.loads(body)["served_by"] == owner.name
 
 
 class TestStatszAggregation:
